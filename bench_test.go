@@ -227,29 +227,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCardinality measures the sequential-counter
-// cardinality encoding against the adder-tree fallback on the rollout
-// model's "count(failed links) <= k" constraints.
-func BenchmarkAblationCardinality(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		noSeq bool
-	}{{"seq-counter", false}, {"adder-tree", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := rollout.Build(rollout.Config{Topo: topo.FatTree(4), P: 1, K: 2, M: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := mc.BMC(m.Sys, m.Property, mc.Options{MaxDepth: 10, NoSeqCounter: mode.noSeq})
-				if err != nil || r.Status != mc.Violated {
-					b.Fatalf("%v %v", r, err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSMTConflicts measures precise simplex conflict
 // explanations against full-assignment blocking in the lazy SMT loop
 // (case study 2 workload).
@@ -320,33 +297,6 @@ func BenchmarkAblationSynthesis(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationIncremental compares per-depth solver rebuild (the
-// default) against incremental solver reuse across depths on the
-// Figure 5 violation search. Incremental wins here (~3x: co-safety
-// searches add no loop-witness encodings, so the carried-over clauses
-// are all useful) but loses on liveness lasso searches where stale
-// per-depth witness gates accumulate — hence opt-in rather than
-// default.
-func BenchmarkAblationIncremental(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"rebuild", false}, {"incremental", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := rollout.Build(rollout.Config{Topo: topo.Test(), P: 1, K: 2, M: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := mc.BMC(m.Sys, m.Property, mc.Options{MaxDepth: 10, IncrementalBMC: mode.inc})
-				if err != nil || r.Status != mc.Violated {
-					b.Fatalf("%v %v", r, err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkPortfolio races BMC, k-induction and the BDD engine on the

@@ -1,11 +1,11 @@
 // Package cnf compiles expr expressions into CNF over a sat.Solver.
 //
 // Booleans become literals via Tseitin transformation with structural
-// hashing; bounded integers and enums are bit-blasted into binary
-// "offset bitvectors" (a vector of literals plus a constant offset)
-// with ripple-carry arithmetic; Count comparisons against constants
-// use a sequential-counter cardinality encoding (with an adder-tree
-// fallback kept for the ablation benchmarks).
+// hashing. Bounded integers and enums are bit-blasted into offset
+// bit-vectors of literals by internal/bitvec, for which the Encoder's
+// gates are the boolean algebra. Count comparisons against constants
+// use a sequential-counter cardinality encoding; Encoder.NoSeqCounter
+// falls back to bitvec's adder-tree popcount.
 //
 // The same expression can be instantiated at many time frames — the
 // bounded model checker unrolls the transition relation by compiling
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"verdict/internal/bitvec"
 	"verdict/internal/expr"
 	"verdict/internal/sat"
 )
@@ -44,12 +45,9 @@ type Frame struct {
 	bits map[*expr.Var]bv
 }
 
-// bv is an offset bitvector: value = off + Σ bits[i]·2^i where each
-// bit is a SAT literal (possibly a constant literal).
-type bv struct {
-	lits []sat.Lit // LSB first
-	off  int64
-}
+// bv is an offset bitvector whose bits are SAT literals (possibly the
+// constant literals).
+type bv = bitvec.Vec[sat.Lit]
 
 // Encoder compiles expressions to CNF incrementally.
 type Encoder struct {
@@ -115,6 +113,9 @@ func (e *Encoder) True() sat.Lit { return e.trueLit }
 // False returns the constant-false literal.
 func (e *Encoder) False() sat.Lit { return e.trueLit.Not() }
 
+// Not returns the negation of l.
+func (e *Encoder) Not(l sat.Lit) sat.Lit { return l.Not() }
+
 // NewFrame allocates fresh SAT variables for every given ts variable
 // and asserts domain (range) constraints.
 func (e *Encoder) NewFrame(vars []*expr.Var) *Frame {
@@ -133,20 +134,20 @@ func (e *Encoder) NewFrame(vars []*expr.Var) *Frame {
 func (e *Encoder) newVarBits(t expr.Type) bv {
 	switch t.Kind {
 	case expr.KindBool:
-		return bv{lits: []sat.Lit{sat.Pos(e.S.NewVar())}}
+		return bitvec.Bit(sat.Pos(e.S.NewVar()))
 	case expr.KindInt, expr.KindEnum:
 		lo, hi := domainBounds(t)
 		span := uint64(hi - lo)
 		w := bits.Len64(span)
 		if w == 0 {
-			return bv{off: lo} // singleton domain, no bits
+			return bv{Off: lo} // singleton domain, no bits
 		}
 		ls := make([]sat.Lit, w)
 		for i := range ls {
 			ls[i] = sat.Pos(e.S.NewVar())
 		}
 		e.assertLeConst(ls, span)
-		return bv{lits: ls, off: lo}
+		return bv{Bits: ls, Off: lo}
 	}
 	failf("cannot allocate SAT bits for %s-typed variable", t)
 	panic("unreachable")
@@ -245,9 +246,9 @@ func (e *Encoder) compileBool(ex *expr.Expr, cur, next *Frame) sat.Lit {
 		}
 		return e.False()
 	case expr.OpVar:
-		return e.varBits(ex.V, cur, "current").lits[0]
+		return e.varBits(ex.V, cur, "current").Bits[0]
 	case expr.OpNext:
-		return e.varBits(ex.V, next, "next").lits[0]
+		return e.varBits(ex.V, next, "next").Bits[0]
 	case expr.OpNot:
 		return e.Lit(ex.Args[0], cur, next).Not()
 	case expr.OpAnd:
@@ -255,19 +256,19 @@ func (e *Encoder) compileBool(ex *expr.Expr, cur, next *Frame) sat.Lit {
 		for i, a := range ex.Args {
 			ls[i] = e.Lit(a, cur, next)
 		}
-		return e.mkAndN(ls)
+		return e.And(ls...)
 	case expr.OpOr:
 		ls := make([]sat.Lit, len(ex.Args))
 		for i, a := range ex.Args {
 			ls[i] = e.Lit(a, cur, next)
 		}
-		return e.mkOrN(ls)
+		return e.Or(ls...)
 	case expr.OpImplies:
-		return e.mkOrN([]sat.Lit{e.Lit(ex.Args[0], cur, next).Not(), e.Lit(ex.Args[1], cur, next)})
+		return e.Or(e.Lit(ex.Args[0], cur, next).Not(), e.Lit(ex.Args[1], cur, next))
 	case expr.OpIff:
-		return e.mkXor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next)).Not()
+		return e.Xor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next)).Not()
 	case expr.OpXor:
-		return e.mkXor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next))
+		return e.Xor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next))
 	case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
 		return e.compileCompare(ex, cur, next)
 	}
@@ -276,38 +277,11 @@ func (e *Encoder) compileBool(ex *expr.Expr, cur, next *Frame) sat.Lit {
 }
 
 func (e *Encoder) compileCompare(ex *expr.Expr, cur, next *Frame) sat.Lit {
-	a, b := ex.Args[0], ex.Args[1]
-	// Boolean/enum equality.
-	if a.Type().Kind == expr.KindEnum {
-		av := e.BV(a, cur, next)
-		bvv := e.BV(b, cur, next)
-		eq := e.mkEqBV(av, bvv)
-		if ex.Op == expr.OpNe {
-			return eq.Not()
-		}
-		return eq
-	}
 	// Cardinality special case: Count(...) ⋈ const (either side).
 	if l, ok := e.tryCardinality(ex, cur, next); ok {
 		return l
 	}
-	av := e.BV(a, cur, next)
-	bvv := e.BV(b, cur, next)
-	switch ex.Op {
-	case expr.OpEq:
-		return e.mkEqBV(av, bvv)
-	case expr.OpNe:
-		return e.mkEqBV(av, bvv).Not()
-	case expr.OpLe:
-		return e.mkLeBV(av, bvv)
-	case expr.OpLt:
-		return e.mkLeBV(bvv, av).Not()
-	case expr.OpGe:
-		return e.mkLeBV(bvv, av)
-	case expr.OpGt:
-		return e.mkLeBV(av, bvv).Not()
-	}
-	panic("cnf: bad comparison")
+	return bitvec.Compare(e, ex.Op, e.BV(ex.Args[0], cur, next), e.BV(ex.Args[1], cur, next))
 }
 
 // --- integer expressions ---
@@ -324,306 +298,34 @@ func (e *Encoder) BV(ex *expr.Expr, cur, next *Frame) bv {
 }
 
 func (e *Encoder) compileBV(ex *expr.Expr, cur, next *Frame) bv {
-	switch ex.Op {
-	case expr.OpConst:
-		switch ex.Val.Kind {
-		case expr.KindInt:
-			return bv{off: ex.Val.I}
-		case expr.KindEnum:
-			return bv{off: int64(ex.Type().EnumIndex(ex.Val.Sym))}
-		case expr.KindBool:
-			if ex.Val.B {
-				return bv{lits: []sat.Lit{e.trueLit}}
-			}
-			return bv{}
-		}
-	case expr.OpVar:
-		return e.varBits(ex.V, cur, "current")
-	case expr.OpNext:
-		return e.varBits(ex.V, next, "next")
-	case expr.OpAdd:
-		acc := e.BV(ex.Args[0], cur, next)
-		for _, a := range ex.Args[1:] {
-			acc = e.mkAddBV(acc, e.BV(a, cur, next))
-		}
-		return acc
-	case expr.OpSub:
-		return e.mkAddBV(e.BV(ex.Args[0], cur, next), negBV(e.BV(ex.Args[1], cur, next)))
-	case expr.OpNeg:
-		return negBV(e.BV(ex.Args[0], cur, next))
-	case expr.OpMul:
-		acc := e.BV(ex.Args[0], cur, next)
-		for _, a := range ex.Args[1:] {
-			acc = e.mkMulBV(acc, e.BV(a, cur, next))
-		}
-		return acc
-	case expr.OpIte:
-		c := e.Lit(ex.Args[0], cur, next)
-		return e.mkIteBV(c, e.BV(ex.Args[1], cur, next), e.BV(ex.Args[2], cur, next))
-	case expr.OpCount:
-		ls := make([]sat.Lit, len(ex.Args))
-		for i, a := range ex.Args {
-			ls[i] = e.Lit(a, cur, next)
-		}
-		return e.mkPopcount(ls)
+	b, err := bitvec.Term(blaster{e, cur, next}, ex)
+	if err != nil {
+		failf("%v in the SAT encoding", err)
 	}
-	if ex.Type().Kind == expr.KindBool {
-		// A boolean used in an integer context (e.g. via Ite branches).
-		return bv{lits: []sat.Lit{e.Lit(ex, cur, next)}}
-	}
-	failf("cannot bit-blast op %v in %s", ex.Op, ex)
-	panic("unreachable")
+	return b
 }
 
-// negBV negates an offset bitvector: -(off + U) where U has width w is
-// (-off - (2^w - 1)) + ~U, and ~U is just literal negation.
-func negBV(a bv) bv {
-	ls := make([]sat.Lit, len(a.lits))
-	for i, l := range a.lits {
-		ls[i] = l.Not()
-	}
-	var span int64
-	if len(a.lits) > 0 {
-		span = int64(1)<<uint(len(a.lits)) - 1
-	}
-	return bv{lits: ls, off: -a.off - span}
+// blaster binds the encoder to one (current, next) frame pair for
+// bitvec.Term, which compiles operands back through Lit and BV.
+type blaster struct {
+	*Encoder
+	cur, next *Frame
 }
 
-// mkAddBV adds two offset bitvectors with a ripple-carry adder.
-func (e *Encoder) mkAddBV(a, b bv) bv {
-	if len(a.lits) == 0 {
-		return bv{lits: b.lits, off: a.off + b.off}
-	}
-	if len(b.lits) == 0 {
-		return bv{lits: a.lits, off: a.off + b.off}
-	}
-	w := len(a.lits)
-	if len(b.lits) > w {
-		w = len(b.lits)
-	}
-	sum := make([]sat.Lit, 0, w+1)
-	carry := e.False()
-	for i := 0; i < w; i++ {
-		ai, bi := e.bitAt(a, i), e.bitAt(b, i)
-		s := e.mkXor(e.mkXor(ai, bi), carry)
-		carry = e.mkMaj(ai, bi, carry)
-		sum = append(sum, s)
-	}
-	sum = append(sum, carry)
-	return bv{lits: sum, off: a.off + b.off}
-}
+func (b blaster) Bool(ex *expr.Expr) sat.Lit { return b.Lit(ex, b.cur, b.next) }
+func (b blaster) Int(ex *expr.Expr) bv       { return b.BV(ex, b.cur, b.next) }
 
-func (e *Encoder) bitAt(a bv, i int) sat.Lit {
-	if i < len(a.lits) {
-		return a.lits[i]
+func (b blaster) Leaf(ex *expr.Expr) bv {
+	if ex.Op == expr.OpNext {
+		return b.varBits(ex.V, b.next, "next")
 	}
-	return e.False()
-}
-
-// mkMulBV multiplies two offset bitvectors. At least one side must be
-// constant (no literals); general variable×variable multiplication is
-// rejected — finite-domain verdict models never need it, and the
-// real-valued ones go through the SMT engine instead.
-func (e *Encoder) mkMulBV(a, b bv) bv {
-	if len(a.lits) > 0 && len(b.lits) > 0 {
-		failf("variable*variable multiplication is not supported in the SAT encoding")
-	}
-	if len(a.lits) == 0 {
-		a, b = b, a
-	}
-	// b is the constant: result = a * b.off = a.lits*b.off + a.off*b.off.
-	k := b.off
-	if k == 0 {
-		return bv{}
-	}
-	neg := false
-	if k < 0 {
-		neg = true
-		k = -k
-	}
-	var acc bv
-	first := true
-	for i := 0; i < 63; i++ {
-		if k>>uint(i)&1 == 0 {
-			continue
-		}
-		shifted := e.shiftBV(bv{lits: a.lits}, i)
-		if first {
-			acc = shifted
-			first = false
-		} else {
-			acc = e.mkAddBV(acc, shifted)
-		}
-	}
-	if neg {
-		acc = negBV(acc)
-	}
-	acc.off += a.off * b.off
-	return acc
-}
-
-func (e *Encoder) shiftBV(a bv, n int) bv {
-	ls := make([]sat.Lit, n+len(a.lits))
-	for i := 0; i < n; i++ {
-		ls[i] = e.False()
-	}
-	copy(ls[n:], a.lits)
-	return bv{lits: ls, off: a.off << uint(n)}
-}
-
-func (e *Encoder) mkIteBV(c sat.Lit, a, b bv) bv {
-	// Align offsets so a bitwise mux is valid.
-	if a.off != b.off {
-		lo := a.off
-		if b.off < lo {
-			lo = b.off
-		}
-		a = e.rebase(a, lo)
-		b = e.rebase(b, lo)
-	}
-	w := len(a.lits)
-	if len(b.lits) > w {
-		w = len(b.lits)
-	}
-	ls := make([]sat.Lit, w)
-	for i := 0; i < w; i++ {
-		ls[i] = e.mkIte(c, e.bitAt(a, i), e.bitAt(b, i))
-	}
-	return bv{lits: ls, off: a.off}
-}
-
-// rebase rewrites a to have offset newOff <= a.off by adding the
-// difference into the bit part.
-func (e *Encoder) rebase(a bv, newOff int64) bv {
-	d := a.off - newOff
-	if d == 0 {
-		return a
-	}
-	if d < 0 {
-		panic("cnf: rebase must lower the offset")
-	}
-	constBits := constBV(d, e)
-	r := e.mkAddBV(bv{lits: a.lits}, constBits)
-	r.off = newOff
-	return r
-}
-
-func constBV(k int64, e *Encoder) bv {
-	if k < 0 {
-		panic("cnf: constBV negative")
-	}
-	var ls []sat.Lit
-	for i := 0; i < 63; i++ {
-		if k>>uint(i) == 0 {
-			break
-		}
-		if k>>uint(i)&1 == 1 {
-			ls = append(ls, e.trueLit)
-		} else {
-			ls = append(ls, e.False())
-		}
-	}
-	return bv{lits: ls}
-}
-
-// mkEqBV returns a literal equivalent to value(a) == value(b).
-func (e *Encoder) mkEqBV(a, b bv) sat.Lit {
-	// value(a) == value(b)  <=>  U_a + ~U_b == C with
-	// C = b.off - a.off + 2^wb - 1 where wb = len(b.lits).
-	sum, c, ok := e.diffSum(a, b)
-	if !ok {
-		return e.False()
-	}
-	return e.mkEqConst(sum, uint64(c))
-}
-
-// mkLeBV returns a literal equivalent to value(a) <= value(b).
-func (e *Encoder) mkLeBV(a, b bv) sat.Lit {
-	sum, c, ok := e.diffSum(a, b)
-	if !ok {
-		return e.False()
-	}
-	return e.mkLeConst(sum, uint64(c))
-}
-
-// diffSum builds the unsigned sum U_a + ~U_b and the constant C such
-// that a <= b iff sum <= C and a == b iff sum == C. ok=false means the
-// comparison is statically false (C < 0).
-func (e *Encoder) diffSum(a, b bv) ([]sat.Lit, int64, bool) {
-	wb := len(b.lits)
-	nb := negBV(b) // bits = ~U_b, off = -b.off - (2^wb - 1)
-	var spanB int64
-	if wb > 0 {
-		spanB = int64(1)<<uint(wb) - 1
-	}
-	c := b.off - a.off + spanB
-	if c < 0 {
-		return nil, 0, false
-	}
-	sum := e.mkAddBV(bv{lits: a.lits}, bv{lits: nb.lits})
-	return sum.lits, c, true
-}
-
-// mkLeConst returns a literal for unsigned(ls) <= c.
-func (e *Encoder) mkLeConst(ls []sat.Lit, c uint64) sat.Lit {
-	if len(ls) == 0 {
-		return e.trueLit // unsigned value 0 <= any c
-	}
-	if c >= (1<<uint(len(ls)))-1 {
-		return e.trueLit
-	}
-	acc := e.trueLit
-	for i := 0; i < len(ls); i++ {
-		if c>>uint(i)&1 == 1 {
-			acc = e.mkOrN([]sat.Lit{ls[i].Not(), acc})
-		} else {
-			acc = e.mkAndN([]sat.Lit{ls[i].Not(), acc})
-		}
-	}
-	return acc
-}
-
-// mkEqConst returns a literal for unsigned(ls) == c.
-func (e *Encoder) mkEqConst(ls []sat.Lit, c uint64) sat.Lit {
-	if c >= 1<<uint(len(ls)) {
-		return e.False()
-	}
-	match := make([]sat.Lit, len(ls))
-	for i, l := range ls {
-		if c>>uint(i)&1 == 1 {
-			match[i] = l
-		} else {
-			match[i] = l.Not()
-		}
-	}
-	return e.mkAndN(match)
-}
-
-// mkPopcount sums single-bit values with a balanced adder tree.
-func (e *Encoder) mkPopcount(ls []sat.Lit) bv {
-	if len(ls) == 0 {
-		return bv{}
-	}
-	vecs := make([]bv, len(ls))
-	for i, l := range ls {
-		vecs[i] = bv{lits: []sat.Lit{l}}
-	}
-	for len(vecs) > 1 {
-		var nextLevel []bv
-		for i := 0; i+1 < len(vecs); i += 2 {
-			nextLevel = append(nextLevel, e.mkAddBV(vecs[i], vecs[i+1]))
-		}
-		if len(vecs)%2 == 1 {
-			nextLevel = append(nextLevel, vecs[len(vecs)-1])
-		}
-		vecs = nextLevel
-	}
-	return vecs[0]
+	return b.varBits(ex.V, b.cur, "current")
 }
 
 // --- gates ---
 
-func (e *Encoder) mkAndN(ls []sat.Lit) sat.Lit {
+// And returns a literal equivalent to the conjunction of ls.
+func (e *Encoder) And(ls ...sat.Lit) sat.Lit {
 	out := make([]sat.Lit, 0, len(ls))
 	for _, l := range ls {
 		if l == e.trueLit {
@@ -647,15 +349,17 @@ func (e *Encoder) mkAndN(ls []sat.Lit) sat.Lit {
 	return acc
 }
 
-func (e *Encoder) mkOrN(ls []sat.Lit) sat.Lit {
+// Or returns a literal equivalent to the disjunction of ls.
+func (e *Encoder) Or(ls ...sat.Lit) sat.Lit {
 	neg := make([]sat.Lit, len(ls))
 	for i, l := range ls {
 		neg[i] = l.Not()
 	}
-	return e.mkAndN(neg).Not()
+	return e.And(neg...).Not()
 }
 
-func (e *Encoder) mkXor(a, b sat.Lit) sat.Lit {
+// Xor returns a literal equivalent to a ⊕ b.
+func (e *Encoder) Xor(a, b sat.Lit) sat.Lit {
 	if a == e.trueLit {
 		return b.Not()
 	}
@@ -703,21 +407,22 @@ func (e *Encoder) mkXor(a, b sat.Lit) sat.Lit {
 	return g
 }
 
-func (e *Encoder) mkMaj(a, b, c sat.Lit) sat.Lit {
+// Maj returns a literal equivalent to the majority of a, b, c.
+func (e *Encoder) Maj(a, b, c sat.Lit) sat.Lit {
 	// Simplify constants.
 	switch {
 	case a == e.trueLit:
-		return e.mkOrN([]sat.Lit{b, c})
+		return e.Or(b, c)
 	case a == e.False():
-		return e.mkAndN([]sat.Lit{b, c})
+		return e.And(b, c)
 	case b == e.trueLit:
-		return e.mkOrN([]sat.Lit{a, c})
+		return e.Or(a, c)
 	case b == e.False():
-		return e.mkAndN([]sat.Lit{a, c})
+		return e.And(a, c)
 	case c == e.trueLit:
-		return e.mkOrN([]sat.Lit{a, b})
+		return e.Or(a, b)
 	case c == e.False():
-		return e.mkAndN([]sat.Lit{a, b})
+		return e.And(a, b)
 	}
 	ls := [3]sat.Lit{a, b, c}
 	if ls[0] > ls[1] {
@@ -745,7 +450,8 @@ func (e *Encoder) mkMaj(a, b, c sat.Lit) sat.Lit {
 	return g
 }
 
-func (e *Encoder) mkIte(c, t, f sat.Lit) sat.Lit {
+// Ite returns a literal equivalent to c ? t : f.
+func (e *Encoder) Ite(c, t, f sat.Lit) sat.Lit {
 	if c == e.trueLit {
 		return t
 	}
@@ -791,12 +497,6 @@ func (e *Encoder) gate2(op byte, a, b sat.Lit) sat.Lit {
 	e.gateMemo[key] = g
 	return g
 }
-
-// AndLits returns a literal equivalent to the conjunction of ls.
-func (e *Encoder) AndLits(ls ...sat.Lit) sat.Lit { return e.mkAndN(ls) }
-
-// OrLits returns a literal equivalent to the disjunction of ls.
-func (e *Encoder) OrLits(ls ...sat.Lit) sat.Lit { return e.mkOrN(ls) }
 
 // --- cardinality ---
 
@@ -851,9 +551,9 @@ func (e *Encoder) tryCardinality(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool
 	case expr.OpGt:
 		return atLeast(k + 1), true
 	case expr.OpEq:
-		return e.mkAndN([]sat.Lit{atLeast(k), atLeast(k + 1).Not()}), true
+		return e.And(atLeast(k), atLeast(k+1).Not()), true
 	case expr.OpNe:
-		return e.mkAndN([]sat.Lit{atLeast(k), atLeast(k + 1).Not()}).Not(), true
+		return e.And(atLeast(k), atLeast(k+1).Not()).Not(), true
 	}
 	return 0, false
 }
@@ -884,7 +584,7 @@ func (e *Encoder) seqCounter(cnt *expr.Expr, cur, next *Frame, maxJ int) []sat.L
 				prev = row[j-1]
 			}
 			// newRow[j] = row[j] | (x_i & prev)
-			newRow[j] = e.mkOrN([]sat.Lit{row[j], e.mkAndN([]sat.Lit{xs[i], prev})})
+			newRow[j] = e.Or(row[j], e.And(xs[i], prev))
 		}
 		row = newRow
 	}
@@ -902,12 +602,12 @@ func (e *Encoder) Model(f *Frame, v *expr.Var) expr.Value {
 		panic(fmt.Sprintf("cnf: Model of unbound variable %s", v.Name))
 	}
 	var u int64
-	for i, l := range b.lits {
+	for i, l := range b.Bits {
 		if e.S.ValueLit(l) == sat.TrueV {
 			u |= 1 << uint(i)
 		}
 	}
-	val := b.off + u
+	val := b.Off + u
 	switch v.T.Kind {
 	case expr.KindBool:
 		return expr.BoolValue(val != 0)
@@ -928,7 +628,7 @@ func (e *Encoder) EqFrames(a, b *Frame) sat.Lit {
 		if !ok {
 			continue
 		}
-		conj = append(conj, e.mkEqBV(a.bits[v], bb))
+		conj = append(conj, bitvec.Eq(e, a.bits[v], bb))
 	}
-	return e.mkAndN(conj)
+	return e.And(conj...)
 }

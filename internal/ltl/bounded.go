@@ -73,9 +73,9 @@ func (b *BoundedEncoder) compute(f *Formula, i, l int) sat.Lit {
 		// literal negation is exact anyway.
 		return b.encode(f.L, i, l).Not()
 	case KindAnd:
-		return b.Enc.AndLits(b.encode(f.L, i, l), b.encode(f.R, i, l))
+		return b.Enc.And(b.encode(f.L, i, l), b.encode(f.R, i, l))
 	case KindOr:
-		return b.Enc.OrLits(b.encode(f.L, i, l), b.encode(f.R, i, l))
+		return b.Enc.Or(b.encode(f.L, i, l), b.encode(f.R, i, l))
 	case KindX:
 		if i < k {
 			return b.encode(f.L, i+1, l)
@@ -93,7 +93,7 @@ func (b *BoundedEncoder) compute(f *Formula, i, l int) sat.Lit {
 		for j := start; j <= k; j++ {
 			disj = append(disj, b.encode(f.L, j, l))
 		}
-		return b.Enc.OrLits(disj...)
+		return b.Enc.Or(disj...)
 	case KindG:
 		if l < 0 {
 			return b.Enc.False() // no finite witness for G
@@ -107,7 +107,7 @@ func (b *BoundedEncoder) compute(f *Formula, i, l int) sat.Lit {
 		for j := start; j <= k; j++ {
 			conj = append(conj, b.encode(f.L, j, l))
 		}
-		return b.Enc.AndLits(conj...)
+		return b.Enc.And(conj...)
 	case KindU:
 		return b.until(
 			func(j int) sat.Lit { return b.encode(f.L, j, l) },
@@ -123,9 +123,9 @@ func (b *BoundedEncoder) compute(f *Formula, i, l int) sat.Lit {
 					conj = append(conj, b.encode(f.R, t, l))
 				}
 				conj = append(conj, b.encode(f.L, j, l))
-				disj = append(disj, b.Enc.AndLits(conj...))
+				disj = append(disj, b.Enc.And(conj...))
 			}
-			return b.Enc.OrLits(disj...)
+			return b.Enc.Or(disj...)
 		}
 		// Exact dual on the infinite lasso: f R g = ¬(¬f U ¬g).
 		return b.until(
@@ -146,7 +146,7 @@ func (b *BoundedEncoder) until(fl, fr func(int) sat.Lit, i, l int) sat.Lit {
 		for t := i; t < j; t++ {
 			conj = append(conj, fl(t))
 		}
-		disj = append(disj, b.Enc.AndLits(conj...))
+		disj = append(disj, b.Enc.And(conj...))
 	}
 	// Witness after wrapping through the loop: positions l..i-1.
 	if l >= 0 {
@@ -158,8 +158,8 @@ func (b *BoundedEncoder) until(fl, fr func(int) sat.Lit, i, l int) sat.Lit {
 			for t := l; t < j; t++ {
 				conj = append(conj, fl(t))
 			}
-			disj = append(disj, b.Enc.AndLits(conj...))
+			disj = append(disj, b.Enc.And(conj...))
 		}
 	}
-	return b.Enc.OrLits(disj...)
+	return b.Enc.Or(disj...)
 }

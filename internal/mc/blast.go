@@ -24,13 +24,6 @@ import (
 	"verdict/internal/ts"
 )
 
-// cnfEncoder builds a CNF encoder honoring the ablation options.
-func cnfEncoder(s *sat.Solver, opts Options) *cnf.Encoder {
-	e := cnf.NewEncoder(s)
-	e.NoSeqCounter = opts.NoSeqCounter
-	return e
-}
-
 // unroller owns one unrolled copy of a system at a growable depth k:
 // frames 0..k, a parameter frame, and either a plain SAT solver or an
 // SMT context depending on the system's domain.
@@ -77,13 +70,11 @@ func newUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unrolle
 	}
 	if sys.Finite() {
 		u.sats = sat.New()
-		u.enc = cnfEncoder(u.sats, opts)
+		u.enc = cnf.NewEncoder(u.sats)
 	} else {
 		u.ctx = smt.NewContext()
-		u.ctx.BlockFullAssignment = opts.BlockFullAssignment
 		u.sats = u.ctx.Sat
 		u.enc = u.ctx.Enc
-		u.enc.NoSeqCounter = opts.NoSeqCounter
 	}
 	u.sats.Interrupt = opts.interrupt(start)
 	u.sats.ConflictBudget = opts.Budget.SATConflicts
@@ -125,7 +116,7 @@ func newStepUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unr
 		}
 	}
 	u.sats = sat.New()
-	u.enc = cnfEncoder(u.sats, opts)
+	u.enc = cnf.NewEncoder(u.sats)
 	u.sats.Interrupt = opts.interrupt(start)
 	u.sats.ConflictBudget = opts.Budget.SATConflicts
 	u.params = u.enc.NewFrame(u.finiteParams)

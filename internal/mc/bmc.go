@@ -20,8 +20,8 @@ import (
 // For pure co-safety negations (every witness is a finite prefix —
 // notably safety invariants G(p)) the unrolling is incremental: depth
 // k+1 extends depth k's solver through the blast layer, reusing its
-// clause database and heuristics (Options.IncrementalBMC extends this
-// to lasso searches too). Under the portfolio's cooperation bus, BMC
+// clause database and heuristics; lasso searches rebuild per depth.
+// Under the portfolio's cooperation bus, BMC
 // additionally publishes "no counterexample below k" bounds after each
 // clean depth and skips depths another engine has already proven
 // clean.

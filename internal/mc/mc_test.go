@@ -566,37 +566,31 @@ func TestRandomSystemsCTLCrossValidation(t *testing.T) {
 	}
 }
 
-// TestIncrementalBMCAgrees: the incremental solver-reuse mode must
-// find the same verdicts (and valid traces) as the per-depth rebuild.
+// TestIncrementalBMCAgrees: the incremental solver reuse that BMC uses
+// by default on co-safety negations must find the same verdicts (and
+// valid traces) as the per-depth rebuild.
 func TestIncrementalBMCAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8080))
 	for trial := 0; trial < 25; trial++ {
 		sys, b, x := randSystem(rng)
-		p := randPredicate(rng, b, x)
-		for _, phi := range []*ltl.Formula{
-			ltl.G(ltl.Atom(p)),
-			ltl.F(ltl.G(ltl.Atom(p))),
-		} {
-			// RebuildBMC forces the per-depth rebuild reference even for
-			// co-safety negations, where incremental is now the default.
-			r1, err := BMC(sys, phi, Options{MaxDepth: 10, RebuildBMC: true})
-			if err != nil {
-				t.Fatal(err)
+		phi := ltl.G(ltl.Atom(randPredicate(rng, b, x)))
+		r1, err := BMC(sys, phi, Options{MaxDepth: 10, RebuildBMC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := BMC(sys, phi, Options{MaxDepth: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Status != r2.Status {
+			t.Fatalf("trial %d (%s): rebuild=%v incremental=%v", trial, phi, r1.Status, r2.Status)
+		}
+		if r2.Status == Violated {
+			if err := ValidateTrace(sys, r2.Trace, true); err != nil {
+				t.Fatalf("trial %d: incremental trace invalid: %v", trial, err)
 			}
-			r2, err := BMC(sys, phi, Options{MaxDepth: 10, IncrementalBMC: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.Status != r2.Status {
-				t.Fatalf("trial %d (%s): rebuild=%v incremental=%v", trial, phi, r1.Status, r2.Status)
-			}
-			if r2.Status == Violated {
-				if err := ValidateTrace(sys, r2.Trace, true); err != nil {
-					t.Fatalf("trial %d: incremental trace invalid: %v", trial, err)
-				}
-				if r1.Depth != r2.Depth {
-					t.Errorf("trial %d: depths differ %d vs %d (both engines search shortest-first)", trial, r1.Depth, r2.Depth)
-				}
+			if r1.Depth != r2.Depth {
+				t.Errorf("trial %d: depths differ %d vs %d (both engines search shortest-first)", trial, r1.Depth, r2.Depth)
 			}
 		}
 	}

@@ -226,21 +226,6 @@ type Options struct {
 	MaxDepth int
 	// Timeout bounds wall-clock time (0 = none).
 	Timeout time.Duration
-	// NoSeqCounter forces the adder-tree cardinality encoding
-	// (ablation knob; see DESIGN.md).
-	NoSeqCounter bool
-	// BlockFullAssignment makes the SMT engine block theory conflicts
-	// with whole assignments instead of simplex explanations (ablation).
-	BlockFullAssignment bool
-	// IncrementalBMC forces BMC to extend one solver across unroll
-	// depths instead of rebuilding per depth. Incremental solving is
-	// already the default whenever the negated property is pure
-	// co-safety (a finite prefix decides every witness — the Figure 5/6
-	// workload — where it measures ~3x faster); this flag extends it to
-	// liveness lasso searches too, where results are mixed: every
-	// depth's loop-witness encodings pile up as stale gates that burden
-	// later depths. See BenchmarkAblationIncremental.
-	IncrementalBMC bool
 	// MaxExplicitStates caps explicit-state enumeration (default 1e6).
 	MaxExplicitStates int
 	// Workers caps the goroutine fan-out of the concurrent entry
@@ -297,13 +282,12 @@ type Options struct {
 }
 
 // incrementalBMC decides whether BMC extends one solver across depths:
-// forced by IncrementalBMC, default for pure co-safety negations
-// (where no loop-witness gates can pile up and reuse is a pure win).
+// only for pure co-safety negations, where no loop-witness gates can
+// pile up and reuse is a pure win. Liveness lasso searches rebuild per
+// depth, because every depth's loop-witness encodings would otherwise
+// accumulate as stale gates that burden later depths.
 func (o Options) incrementalBMC(neg *ltl.Formula) bool {
-	if o.RebuildBMC {
-		return false
-	}
-	return o.IncrementalBMC || coSafety(neg)
+	return !o.RebuildBMC && coSafety(neg)
 }
 
 func (o Options) maxDepth() int {

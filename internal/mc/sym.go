@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"verdict/internal/bdd"
+	"verdict/internal/bitvec"
 	"verdict/internal/ctl"
 	"verdict/internal/expr"
 	"verdict/internal/ltl"
@@ -64,16 +65,12 @@ type Sym struct {
 
 	start time.Time
 
+	bl       *symBlaster
 	boolMemo map[*expr.Expr]bdd.Node
-	intMemo  map[*expr.Expr]intVec
+	intMemo  map[*expr.Expr]bitvec.Vec[bdd.Node]
 
 	// Monitor bookkeeping for the LTL tableau.
 	monCount int
-}
-
-type intVec struct {
-	bits []bdd.Node
-	off  int64
 }
 
 // NewSym compiles a finite system into BDD form. With opts.Timeout or
@@ -110,7 +107,7 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 		cur2next:  make(map[int]int),
 		next2cur:  make(map[int]int),
 		boolMemo:  make(map[*expr.Expr]bdd.Node),
-		intMemo:   make(map[*expr.Expr]intVec),
+		intMemo:   make(map[*expr.Expr]bitvec.Vec[bdd.Node]),
 		start:     time.Now(),
 	}
 	total := 0
@@ -120,6 +117,7 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 		total += 2 * w
 	}
 	s.m = bdd.New(total)
+	s.bl = &symBlaster{s.m, s}
 	s.m.Interrupt = opts.interrupt(s.start)
 	s.m.NodeBudget = opts.Budget.BDDNodes
 	for _, v := range sys.AllVars() {
@@ -146,9 +144,9 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 	for _, v := range sys.AllVars() {
 		lay := s.layout[v]
 		span := spanOf(v.T)
-		s.domCur = s.m.And(s.domCur, s.leConstBits(s.curBits(lay), span))
+		s.domCur = s.m.And(s.domCur, bitvec.LeConst(s.bl, s.curBits(lay), span))
 		if !v.Param {
-			domNext = s.m.And(domNext, s.leConstBits(s.nextBits(lay), span))
+			domNext = s.m.And(domNext, bitvec.LeConst(s.bl, s.nextBits(lay), span))
 		}
 	}
 
@@ -210,22 +208,6 @@ func (s *Sym) nextBits(lay varLayout) []bdd.Node {
 	return out
 }
 
-// leConstBits builds value(bits) <= c for bit BDDs (LSB first).
-func (s *Sym) leConstBits(bs []bdd.Node, c uint64) bdd.Node {
-	if len(bs) == 0 || c >= (1<<uint(len(bs)))-1 {
-		return bdd.True
-	}
-	acc := bdd.True
-	for i := 0; i < len(bs); i++ {
-		if c>>uint(i)&1 == 1 {
-			acc = s.m.Or(s.m.Not(bs[i]), acc)
-		} else {
-			acc = s.m.And(s.m.Not(bs[i]), acc)
-		}
-	}
-	return acc
-}
-
 // prime renames current-state levels to next-state ones.
 func (s *Sym) prime(f bdd.Node) bdd.Node { return s.m.Replace(f, s.cur2next) }
 
@@ -276,260 +258,47 @@ func (s *Sym) computeBool(e *expr.Expr) bdd.Node {
 	case expr.OpXor:
 		return m.Xor(s.compileBool(e.Args[0]), s.compileBool(e.Args[1]))
 	case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-		a := s.compileInt(e.Args[0])
-		b := s.compileInt(e.Args[1])
-		switch e.Op {
-		case expr.OpEq:
-			return s.eqVec(a, b)
-		case expr.OpNe:
-			return m.Not(s.eqVec(a, b))
-		case expr.OpLe:
-			return s.leVec(a, b)
-		case expr.OpLt:
-			return m.Not(s.leVec(b, a))
-		case expr.OpGe:
-			return s.leVec(b, a)
-		case expr.OpGt:
-			return m.Not(s.leVec(a, b))
-		}
+		return bitvec.Compare(s.bl, e.Op, s.compileInt(e.Args[0]), s.compileInt(e.Args[1]))
 	}
 	panic(fmt.Sprintf("mc: cannot compile boolean op %v to BDD (%s)", e.Op, e))
 }
 
-func (s *Sym) compileInt(e *expr.Expr) intVec {
+func (s *Sym) compileInt(e *expr.Expr) bitvec.Vec[bdd.Node] {
 	if v, ok := s.intMemo[e]; ok {
 		return v
 	}
-	v := s.computeInt(e)
+	v, err := bitvec.Term(s.bl, e)
+	if err != nil {
+		panic(fmt.Sprintf("mc: %v in the BDD encoding", err))
+	}
 	s.intMemo[e] = v
 	return v
 }
 
-func (s *Sym) computeInt(e *expr.Expr) intVec {
-	switch e.Op {
-	case expr.OpConst:
-		switch e.Val.Kind {
-		case expr.KindInt:
-			return intVec{off: e.Val.I}
-		case expr.KindEnum:
-			return intVec{off: int64(e.Type().EnumIndex(e.Val.Sym))}
-		case expr.KindBool:
-			if e.Val.B {
-				return intVec{bits: []bdd.Node{bdd.True}}
-			}
-			return intVec{}
-		}
-	case expr.OpVar:
-		lay := s.layout[e.V]
-		return intVec{bits: s.curBits(lay), off: lay.lo}
-	case expr.OpNext:
-		lay := s.layout[e.V]
-		return intVec{bits: s.nextBits(lay), off: lay.lo}
-	case expr.OpAdd:
-		acc := s.compileInt(e.Args[0])
-		for _, a := range e.Args[1:] {
-			acc = s.addVec(acc, s.compileInt(a))
-		}
-		return acc
-	case expr.OpSub:
-		return s.addVec(s.compileInt(e.Args[0]), s.negVec(s.compileInt(e.Args[1])))
-	case expr.OpNeg:
-		return s.negVec(s.compileInt(e.Args[0]))
-	case expr.OpMul:
-		acc := s.compileInt(e.Args[0])
-		for _, a := range e.Args[1:] {
-			acc = s.mulVec(acc, s.compileInt(a))
-		}
-		return acc
-	case expr.OpIte:
-		c := s.compileBool(e.Args[0])
-		return s.iteVec(c, s.compileInt(e.Args[1]), s.compileInt(e.Args[2]))
-	case expr.OpCount:
-		vecs := make([]intVec, len(e.Args))
-		for i, a := range e.Args {
-			vecs[i] = intVec{bits: []bdd.Node{s.compileBool(a)}}
-		}
-		for len(vecs) > 1 {
-			var nxt []intVec
-			for i := 0; i+1 < len(vecs); i += 2 {
-				nxt = append(nxt, s.addVec(vecs[i], vecs[i+1]))
-			}
-			if len(vecs)%2 == 1 {
-				nxt = append(nxt, vecs[len(vecs)-1])
-			}
-			vecs = nxt
-		}
-		if len(vecs) == 0 {
-			return intVec{}
-		}
-		return vecs[0]
-	}
-	if e.Type().Kind == expr.KindBool {
-		return intVec{bits: []bdd.Node{s.compileBool(e)}}
-	}
-	panic(fmt.Sprintf("mc: cannot compile op %v to BDD bit-vector (%s)", e.Op, e))
+// symBlaster is the BDD instance of bitvec.Blaster: the manager's
+// gates, the engine's memoized compilers for operands, and the bit
+// layout for variable leaves.
+type symBlaster struct {
+	*bdd.Manager
+	s *Sym
 }
 
-func (s *Sym) bitAt(v intVec, i int) bdd.Node {
-	if i < len(v.bits) {
-		return v.bits[i]
-	}
-	return bdd.False
+func (symBlaster) True() bdd.Node  { return bdd.True }
+func (symBlaster) False() bdd.Node { return bdd.False }
+
+func (b symBlaster) Maj(x, y, z bdd.Node) bdd.Node {
+	return b.Or(b.And(x, y), b.And(z, b.Or(x, y)))
 }
 
-func (s *Sym) addVec(a, b intVec) intVec {
-	if len(a.bits) == 0 {
-		return intVec{bits: b.bits, off: a.off + b.off}
-	}
-	if len(b.bits) == 0 {
-		return intVec{bits: a.bits, off: a.off + b.off}
-	}
-	w := len(a.bits)
-	if len(b.bits) > w {
-		w = len(b.bits)
-	}
-	out := make([]bdd.Node, 0, w+1)
-	carry := bdd.False
-	for i := 0; i < w; i++ {
-		ai, bi := s.bitAt(a, i), s.bitAt(b, i)
-		out = append(out, s.m.Xor(s.m.Xor(ai, bi), carry))
-		carry = s.m.Or(s.m.And(ai, bi), s.m.And(carry, s.m.Or(ai, bi)))
-	}
-	out = append(out, carry)
-	return intVec{bits: out, off: a.off + b.off}
-}
+func (b symBlaster) Bool(e *expr.Expr) bdd.Node            { return b.s.compileBool(e) }
+func (b symBlaster) Int(e *expr.Expr) bitvec.Vec[bdd.Node] { return b.s.compileInt(e) }
 
-func (s *Sym) negVec(a intVec) intVec {
-	out := make([]bdd.Node, len(a.bits))
-	for i, b := range a.bits {
-		out[i] = s.m.Not(b)
+func (b symBlaster) Leaf(e *expr.Expr) bitvec.Vec[bdd.Node] {
+	lay := b.s.layout[e.V]
+	if e.Op == expr.OpNext {
+		return bitvec.Vec[bdd.Node]{Bits: b.s.nextBits(lay), Off: lay.lo}
 	}
-	var span int64
-	if len(a.bits) > 0 {
-		span = int64(1)<<uint(len(a.bits)) - 1
-	}
-	return intVec{bits: out, off: -a.off - span}
-}
-
-func (s *Sym) mulVec(a, b intVec) intVec {
-	if len(a.bits) > 0 && len(b.bits) > 0 {
-		panic("mc: variable*variable multiplication is not supported in the BDD encoding")
-	}
-	if len(a.bits) == 0 {
-		a, b = b, a
-	}
-	k := b.off
-	if k == 0 {
-		return intVec{}
-	}
-	neg := false
-	if k < 0 {
-		neg, k = true, -k
-	}
-	var acc intVec
-	first := true
-	for i := 0; i < 63 && k>>uint(i) != 0; i++ {
-		if k>>uint(i)&1 == 0 {
-			continue
-		}
-		sh := make([]bdd.Node, i+len(a.bits))
-		for j := 0; j < i; j++ {
-			sh[j] = bdd.False
-		}
-		copy(sh[i:], a.bits)
-		v := intVec{bits: sh}
-		if first {
-			acc, first = v, false
-		} else {
-			acc = s.addVec(acc, v)
-		}
-	}
-	if neg {
-		acc = s.negVec(acc)
-	}
-	acc.off += a.off * b.off
-	return acc
-}
-
-func (s *Sym) iteVec(c bdd.Node, a, b intVec) intVec {
-	if a.off != b.off {
-		lo := a.off
-		if b.off < lo {
-			lo = b.off
-		}
-		a = s.rebaseVec(a, lo)
-		b = s.rebaseVec(b, lo)
-	}
-	w := len(a.bits)
-	if len(b.bits) > w {
-		w = len(b.bits)
-	}
-	out := make([]bdd.Node, w)
-	for i := range out {
-		out[i] = s.m.Ite(c, s.bitAt(a, i), s.bitAt(b, i))
-	}
-	return intVec{bits: out, off: a.off}
-}
-
-func (s *Sym) rebaseVec(a intVec, newOff int64) intVec {
-	d := a.off - newOff
-	if d == 0 {
-		return a
-	}
-	var cb []bdd.Node
-	for i := 0; i < 63 && d>>uint(i) != 0; i++ {
-		if d>>uint(i)&1 == 1 {
-			cb = append(cb, bdd.True)
-		} else {
-			cb = append(cb, bdd.False)
-		}
-	}
-	r := s.addVec(intVec{bits: a.bits}, intVec{bits: cb})
-	r.off = newOff
-	return r
-}
-
-// eqVec / leVec compare via the same offset-difference trick as the
-// CNF compiler: a ⋈ b iff U_a + ~U_b ⋈ b.off - a.off + 2^wb - 1.
-func (s *Sym) eqVec(a, b intVec) bdd.Node {
-	sum, c, ok := s.diffVec(a, b)
-	if !ok {
-		return bdd.False
-	}
-	if c >= 1<<uint(len(sum)) {
-		return bdd.False
-	}
-	acc := bdd.True
-	for i, bit := range sum {
-		if uint64(c)>>uint(i)&1 == 1 {
-			acc = s.m.And(acc, bit)
-		} else {
-			acc = s.m.And(acc, s.m.Not(bit))
-		}
-	}
-	return acc
-}
-
-func (s *Sym) leVec(a, b intVec) bdd.Node {
-	sum, c, ok := s.diffVec(a, b)
-	if !ok {
-		return bdd.False
-	}
-	return s.leConstBits(sum, uint64(c))
-}
-
-func (s *Sym) diffVec(a, b intVec) ([]bdd.Node, int64, bool) {
-	nb := s.negVec(b)
-	var spanB int64
-	if len(b.bits) > 0 {
-		spanB = int64(1)<<uint(len(b.bits)) - 1
-	}
-	c := b.off - a.off + spanB
-	if c < 0 {
-		return nil, 0, false
-	}
-	sum := s.addVec(intVec{bits: a.bits}, intVec{bits: nb.bits})
-	return sum.bits, c, true
+	return bitvec.Vec[bdd.Node]{Bits: b.s.curBits(lay), Off: lay.lo}
 }
 
 // --- images and reachability ---

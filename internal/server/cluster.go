@@ -414,13 +414,15 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // the client holds the id, R nodes hold the promise, and any single
 // node can die without losing it. Unreachable replicas are tolerated
 // (they are probably dead, which is exactly when blocking acceptance
-// would turn a node failure into an outage).
-func (s *Server) replicateAccept(j *job) {
+// would turn a node failure into an outage). reqJSON is the caller's
+// own copy of the request: j.reqJSON is not read here, because a job
+// that settles before the push has it cleared by publish.
+func (s *Server) replicateAccept(j *job, reqJSON json.RawMessage) {
 	cs := s.cluster
 	if cs == nil {
 		return
 	}
-	body, err := json.Marshal(clusterAcceptMsg{ID: j.id, Owner: cs.c.Self(), Request: j.reqJSON,
+	body, err := json.Marshal(clusterAcceptMsg{ID: j.id, Owner: cs.c.Self(), Request: reqJSON,
 		Tenant: j.tenant, DeadlineMS: remainingMS(j.deadline)})
 	if err != nil {
 		return

@@ -9,11 +9,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"verdict/internal/journal"
 	"verdict/internal/ltl"
 	"verdict/internal/mc"
 	"verdict/internal/resilience"
@@ -46,16 +48,31 @@ func (n *testNode) kill() {
 	n.s.cancel()
 }
 
+// lateHandler answers 404 until its real handler is installed. Peers
+// probe a node as soon as they start, so the swap must be safe against
+// requests already in flight.
+type lateHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := l.h.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
+	}
+	http.NotFound(w, r)
+}
+
 // newTestCluster builds n nodes that all know each other. The
 // listeners exist before the servers (static membership needs the
-// URLs up front) and get the real handlers swapped in before any
-// traffic flows.
+// URLs up front) and get the real handlers installed as each server
+// comes up.
 func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNode {
 	t.Helper()
 	hts := make([]*httptest.Server, n)
+	late := make([]*lateHandler, n)
 	urls := make([]string, n)
 	for i := range hts {
-		hts[i] = httptest.NewServer(http.NotFoundHandler())
+		late[i] = &lateHandler{}
+		hts[i] = httptest.NewServer(late[i])
 		urls[i] = hts[i].URL
 	}
 	nodes := make([]*testNode, n)
@@ -81,7 +98,8 @@ func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNo
 		if s.cluster == nil {
 			t.Fatal("cluster config did not produce a cluster server")
 		}
-		hts[i].Config.Handler = s.Handler()
+		h := s.Handler()
+		late[i].h.Store(&h)
 		node := &testNode{s: s, ht: hts[i], url: urls[i]}
 		nodes[i] = node
 		t.Cleanup(func() {
@@ -498,6 +516,75 @@ func TestClusterShadowReplayAfterCrash(t *testing.T) {
 	s2.mu.Unlock()
 	if isLive {
 		t.Fatal("restarted replica re-enqueued a peer-owned job as its own")
+	}
+}
+
+// TestClusterAcceptCarriesRequest: the replica's journaled acceptance
+// of a job carries the submitted request, or a shadow promoted from it
+// would have nothing to run. A check that settles at once can be
+// published — which clears the job's own copy of the request — before
+// the submit handler pushes the acceptance, so the push must use the
+// handler's copy. The test submits through the API, then forces that
+// interleaving on one more job: run it to publication first, replicate
+// its acceptance after.
+func TestClusterAcceptCarriesRequest(t *testing.T) {
+	var calls atomic.Int64
+	dirs := []string{t.TempDir(), t.TempDir()}
+	nodes := newTestCluster(t, 2, func(i int, cfg *Config) {
+		cfg.Check = instantCheck(&calls)
+		cfg.DataDir = dirs[i]
+		cfg.JournalNoSync = true
+	})
+	want := make(map[string]CheckRequest)
+	for bound := 1; bound <= 4; bound++ {
+		req := CheckRequest{Model: clusterModel(bound)}
+		id := idFor(t, nodes[0], req)
+		if code, _ := submit(t, ownerOf(t, nodes, id).url, req); code != http.StatusAccepted {
+			t.Fatalf("submit bound %d: status %d", bound, code)
+		}
+		waitDone(t, nodes[0].url, id)
+		want[id] = req
+	}
+
+	req := CheckRequest{Model: clusterModel(5)}
+	owner := ownerOf(t, nodes, idFor(t, nodes[0], req)).s
+	cr, err := owner.compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqJSON, _ := json.Marshal(req)
+	j := &job{id: cr.id, key: cr.key, owner: owner.ownerURL(), sys: cr.sys, phi: cr.phi,
+		opts: cr.opts, pol: cr.pol, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
+	owner.mu.Lock()
+	owner.inflight[j.id] = j
+	owner.mu.Unlock()
+	owner.runJob(j)
+	owner.replicateAccept(j, reqJSON)
+	want[j.id] = req
+
+	for _, n := range nodes {
+		n.kill()
+		n.s.closeDurable()
+	}
+	for i, n := range nodes {
+		accepted := make(map[string]json.RawMessage)
+		if _, err := journal.Replay(filepath.Join(dirs[i], "journal"), func(rec journal.Record) error {
+			if rec.Type == journal.TypeAccepted {
+				accepted[rec.ID] = rec.Request
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for id, req := range want {
+			if ownerOf(t, nodes, id) == n {
+				continue
+			}
+			var got CheckRequest
+			if err := json.Unmarshal(accepted[id], &got); err != nil || got.Model != req.Model {
+				t.Fatalf("replica %s journaled acceptance of %s without its request: %q", n.url, id, accepted[id])
+			}
+		}
 	}
 }
 

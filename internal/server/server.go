@@ -864,7 +864,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// before acknowledging: once the client holds this id, neither a
 	// crash nor the death of this node can lose the job.
 	s.persistAccepted(j.id, reqJSON, owner, j.tenant)
-	s.replicateAccept(j)
+	s.replicateAccept(j, reqJSON)
 	s.mCacheMiss.Inc()
 	s.writeJob(w, http.StatusAccepted, j, false)
 }

@@ -189,7 +189,7 @@ func (s *Server) watchVerify(ctx context.Context, p extract.Property) watch.Outc
 
 	if !cached {
 		s.persistAccepted(j.id, reqJSON, j.owner, j.tenant)
-		s.replicateAccept(j)
+		s.replicateAccept(j, reqJSON)
 		s.runJob(j)
 	}
 	select {

@@ -171,11 +171,11 @@ func (c *Context) extern(e *expr.Expr, cur, next *cnf.Frame) (sat.Lit, bool) {
 	case expr.OpEq:
 		le := c.atomLit(diff, false)
 		ge := c.atomLit(diff.scale(big.NewRat(-1, 1)), false)
-		return c.Enc.AndLits(le, ge), true
+		return c.Enc.And(le, ge), true
 	case expr.OpNe:
 		lt := c.atomLit(diff, true)
 		gt := c.atomLit(diff.scale(big.NewRat(-1, 1)), true)
-		return c.Enc.OrLits(lt, gt), true
+		return c.Enc.Or(lt, gt), true
 	}
 	return 0, false
 }

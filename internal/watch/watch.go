@@ -69,8 +69,11 @@ type Outcome struct {
 // held.
 type VerifyFunc func(ctx context.Context, p extract.Property) Outcome
 
-// Hooks receive session telemetry; nil funcs are skipped. They are
-// called without the session lock and must not block.
+// Hooks receive session telemetry; nil funcs are skipped. Events is
+// called without the session lock. The per-pass hooks (Recheck, Flip,
+// Incident, Latency, Coalesced) are called with it held, before the
+// pass releases its waiters, so telemetry never lags VerifiedSeq. No
+// hook may block or call back into the session.
 type Hooks struct {
 	// Events observes ingested events (per event, not per batch).
 	Events func(n int)
@@ -570,10 +573,9 @@ func (s *Session) verifyPass(ctx context.Context) bool {
 	}
 
 	s.persistLocked()
-	close(s.settled)
-	s.settled = make(chan struct{})
-	s.mu.Unlock()
 
+	// Telemetry lands before waiters wake: a client released by this
+	// pass (Wait, ?wait_seq) must find its observations already counted.
 	h := s.cfg.Hooks
 	for i := 0; i < ran; i++ {
 		if h.Recheck != nil {
@@ -605,5 +607,8 @@ func (s *Session) verifyPass(ctx context.Context) bool {
 	if coalesced > 0 && h.Coalesced != nil {
 		h.Coalesced(coalesced)
 	}
+	close(s.settled)
+	s.settled = make(chan struct{})
+	s.mu.Unlock()
 	return true
 }
