@@ -30,12 +30,12 @@ import (
 //
 // Replication. Acceptance and settlement both replicate to the R-1
 // ring successors of the job's address *before* the client can
-// observe them: an accepted job is journaled on R nodes before the
-// 202, and a settled verdict is journaled + stored on R nodes before
-// the verdict becomes visible. Either can therefore survive the
+// observe them: accept pushes an acceptance to R nodes before the
+// 202, and settle pushes a settled verdict to R nodes before it
+// becomes visible (lifecycle.go). Either can therefore survive the
 // owner's death. Replicas hold peer-owned acceptances as "shadows" —
-// journaled but not executed — and promote them to real local jobs
-// only when the failure detector declares the owner dead.
+// journaled but not executed — and promote them through accept only
+// when the failure detector declares the owner dead.
 //
 // Reads. GET /v1/checks/{id} that misses locally is proxied around
 // the id's replica set (owner first), so a client can ask any node
@@ -43,8 +43,10 @@ import (
 //
 // Work stealing. An idle node polls a random healthy peer's
 // /v1/cluster/steal; an overloaded peer hands over one queued job,
-// the thief runs it and pushes the settled snapshot back. The victim
-// keeps the job journaled and re-enqueues it if the thief vanishes.
+// the thief runs it (the same run as a local worker) and pushes the
+// settled snapshot back, which the victim settles like any peer
+// snapshot. The victim keeps the job journaled and in flight, and
+// requeues it if the thief vanishes.
 
 // forwardHeader marks a request that already made one routing hop.
 const forwardHeader = "X-Verdict-Forwarded"
@@ -54,11 +56,15 @@ const stealInterval = 250 * time.Millisecond
 
 // shadowJob is a peer-owned acceptance held by a replica: enough to
 // re-journal it at compaction and to promote it if the owner dies.
-// Tenant rides along so a promoted job lands in the right fair queue.
+// Tenant rides along so a promoted job lands in the right fair queue,
+// and Deadline so it keeps its client's budget. Deadline lives in
+// memory only: a shadow replayed from the journal has none, as a
+// replayed local job has none.
 type shadowJob struct {
-	Request json.RawMessage
-	Owner   string
-	Tenant  string
+	Request  json.RawMessage
+	Owner    string
+	Tenant   string
+	Deadline time.Time
 }
 
 // clusterState bundles the routing brain with the server-side pieces:
@@ -192,7 +198,7 @@ func (s *Server) reconcileSettled() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if remote, conflict := s.replicateSettled(id, snap); conflict {
-				s.overwriteSettled(id, remote)
+				s.adopt(id, remote, true)
 				adopted.Add(1)
 			}
 		}(id, snap)
@@ -201,36 +207,6 @@ func (s *Server) reconcileSettled() {
 	if n := adopted.Load(); n > 0 {
 		s.cfg.Log.Printf("cluster: rejoin reconciliation adopted %d verdict(s) the fleet settled while this node was down", n)
 	}
-}
-
-// overwriteSettled replaces a local settlement with the fleet's
-// authoritative one — the single deliberate exception to "pinned
-// bytes are never overwritten", taken only when this node's copy
-// predates a fleet re-derivation it slept through.
-func (s *Server) overwriteSettled(id string, snap storedJob) {
-	dec, ok := decodeStored(id, mustMarshal(snap))
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if j, infl := s.inflight[id]; infl {
-		if j.sealed {
-			s.mu.Unlock()
-			return
-		}
-		j.sealed = true
-		s.mu.Unlock()
-		s.persistSettled(j, snap)
-		s.publish(j, snap, dec.result)
-		return
-	}
-	s.mu.Unlock()
-	s.persistSettled(&job{id: id}, snap)
-	s.mu.Lock()
-	if _, infl := s.inflight[id]; !infl {
-		s.finished.Add(id, dec)
-	}
-	s.mu.Unlock()
 }
 
 func (s *Server) stopCluster() {
@@ -254,14 +230,17 @@ func (s *Server) kickRebalance() {
 
 // addShadow records a peer-owned acceptance unless the id is already
 // settled here (then the verdict, not the promise, is what we hold).
-func (s *Server) addShadow(id string, req json.RawMessage, owner, tenant string) {
+func (s *Server) addShadow(id string, sh shadowJob) {
 	cs := s.cluster
-	if cs == nil || s.isSettledLocally(id) {
+	if cs == nil {
+		return
+	}
+	if j, live := s.find(id); j != nil && !live {
 		return
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.shadows[id] = shadowJob{Request: req, Owner: owner, Tenant: tenant}
+	cs.shadows[id] = sh
 }
 
 func (s *Server) removeShadow(id string) {
@@ -288,23 +267,6 @@ func (s *Server) shadowRecords() []journal.Record {
 		recs = append(recs, journal.Record{Type: journal.TypeAccepted, ID: id, Request: sh.Request, Owner: sh.Owner, Tenant: sh.Tenant})
 	}
 	return recs
-}
-
-// isSettledLocally reports whether id has a pinned verdict here, in
-// memory or on disk.
-func (s *Server) isSettledLocally(id string) bool {
-	s.mu.Lock()
-	_, inMem := s.finished.Get(id)
-	s.mu.Unlock()
-	if inMem {
-		return true
-	}
-	if d := s.durable; d != nil {
-		if _, ok, _ := d.store.Get(id); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // --- submission forwarding ---
@@ -416,7 +378,7 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // (they are probably dead, which is exactly when blocking acceptance
 // would turn a node failure into an outage). reqJSON is the caller's
 // own copy of the request: j.reqJSON is not read here, because a job
-// that settles before the push has it cleared by publish.
+// that settles before the push has it cleared at settlement.
 func (s *Server) replicateAccept(j *job, reqJSON json.RawMessage) {
 	cs := s.cluster
 	if cs == nil {
@@ -443,7 +405,7 @@ func (s *Server) replicateAccept(j *job, reqJSON json.RawMessage) {
 // push, and the fleet promoted the job's shadow and settled it again
 // — so the replica's version is the one clients may have observed.
 // Whether to defer to it is the caller's call: a pre-publication
-// settlement (runJob) and a node rejoining the fleet (startup
+// settlement (settle) and a node rejoining the fleet (startup
 // reconcile) must adopt the fleet's bytes; a continuously-live node
 // re-pushing during rebalance keeps its own.
 func (s *Server) replicateSettled(id string, snap storedJob) (storedJob, bool) {
@@ -568,6 +530,8 @@ func (cs *clusterState) postSettled(url string, body []byte) ([]byte, error) {
 
 // handleClusterAccept journals a peer-owned acceptance and shadows
 // it: this node now guarantees the job survives the owner's death.
+// The deadline is kept with the shadow (not journaled), so a promoted
+// job still answers to its client's budget.
 func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 	var msg clusterAcceptMsg
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&msg); err != nil || msg.ID == "" {
@@ -575,7 +539,8 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.persistAccepted(msg.ID, msg.Request, msg.Owner, msg.Tenant)
-	s.addShadow(msg.ID, msg.Request, msg.Owner, msg.Tenant)
+	s.addShadow(msg.ID, shadowJob{Request: msg.Request, Owner: msg.Owner, Tenant: msg.Tenant,
+		Deadline: deadlineIn(msg.DeadlineMS)})
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -598,7 +563,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusConflict, clusterReplicateMsg{ID: msg.ID, Status: local.Status, Error: local.Error, Result: local.Result})
 		return
 	}
-	s.adoptSettled(msg.ID, incoming)
+	s.adopt(msg.ID, incoming, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -606,97 +571,15 @@ func snapshotsEqual(a, b storedJob) bool {
 	return a.Status == b.Status && a.Error == b.Error && bytes.Equal(a.Result, b.Result)
 }
 
-// adoptSettled installs a peer-computed settlement locally. Three
-// cases: the id is in-flight here (a stolen job coming home, or a
-// race with local execution) — seal and publish it; the id is already
-// settled — keep the pinned bytes, drop the push; the id is new —
-// persist and cache it. First settlement wins everywhere: pinned
-// bytes are never overwritten.
-func (s *Server) adoptSettled(id string, snap storedJob) {
-	s.removeShadow(id)
-	// Round-trip through the store decoder so a garbage push can
-	// neither settle nor overwrite anything.
-	dec, ok := decodeStored(id, mustMarshal(snap))
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if j, ok := s.inflight[id]; ok {
-		if j.sealed {
-			s.mu.Unlock()
-			return
-		}
-		j.sealed = true
-		s.mu.Unlock()
-		s.persistSettled(j, snap)
-		s.publish(j, snap, dec.result)
-		return
-	}
-	if _, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	if d := s.durable; d != nil {
-		if _, ok, _ := d.store.Get(id); ok {
-			return
-		}
-	}
-	s.persistSettled(&job{id: id}, snap)
-	s.mu.Lock()
-	if _, dup := s.finished.Get(id); !dup {
-		if _, infl := s.inflight[id]; !infl {
-			s.finished.Add(id, dec)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// handleClusterSteal hands one queued job to an idle peer. The job
-// stays in the in-flight table (the client's promise is ours) with a
-// watchdog that re-enqueues it if the thief never settles it.
+// handleClusterSteal hands one queued job to an idle peer (see steal).
 func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	msg, ok := s.steal()
+	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	// Steal hands over bulk work first (class priority): extra fleet
-	// capacity goes to the backlog, while latency-sensitive work stays
-	// next in line for the local workers.
-	j := s.sched.Steal()
-	if j == nil || j.sealed || len(j.reqJSON) == 0 {
-		// Nothing stealable; a drained-but-sealed job goes back to no
-		// one (it is already settled).
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	msg := clusterStealMsg{ID: j.id, Request: j.reqJSON, Tenant: j.tenant,
-		Class: classLabel(j.class), DeadlineMS: remainingMS(j.deadline)}
-	s.mu.Unlock()
-
-	// The thief gets 2x the per-check ceiling to come home before the
-	// job is re-enqueued locally.
-	time.AfterFunc(2*s.cfg.DefaultTimeout+5*time.Second, func() { s.requeueStolen(j) })
 	s.mSteals.Inc("victim")
 	writeJSON(w, http.StatusOK, msg)
-}
-
-// requeueStolen puts a stolen-but-never-settled job back in its fair
-// queue. Force, not Push: the job is already promised to a client, so
-// admission caps do not apply. Gives up on drain (the journal
-// re-enqueues it next boot).
-func (s *Server) requeueStolen(j *job) {
-	s.mu.Lock()
-	if j.sealed || s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.sched.Force(j, 0)
-	s.mu.Unlock()
-	s.cfg.Log.Printf("cluster: stolen job %s never came home; re-enqueued locally", j.id)
 }
 
 // --- background loops ---
@@ -753,36 +636,20 @@ func (s *Server) stealOnce() {
 		return
 	}
 
-	// The stolen job's remaining budget travels with it: an already
-	// expired deadline settles as cancelled without burning a worker,
-	// and a live one clamps the check's wall clock.
-	var deadline time.Time
-	if msg.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(msg.DeadlineMS) * time.Millisecond)
-	}
-	var req CheckRequest
-	snapErr := json.Unmarshal(msg.Request, &req)
-	var cr *compiled
-	if snapErr == nil {
-		cr, snapErr = s.compile(req)
-	}
+	// The stolen job's remaining budget travels with it, and run treats
+	// it exactly as a local worker would. run also keeps stolen
+	// abstracted scenarios on the CEGAR pipeline — running the quotient
+	// straight through the portfolio would return an unrefined (possibly
+	// spurious) verdict.
 	var snap storedJob
-	switch {
-	case snapErr != nil:
-		snap = storedJob{Status: StatusFailed, Error: fmt.Sprintf("stolen job does not compile: %v", snapErr)}
-	case !deadline.IsZero() && time.Now().After(deadline):
-		snap = storedJob{Status: StatusFailed, Error: "deadline expired before the check started; cancelled at worker pickup"}
-	default:
-		if !deadline.IsZero() {
-			if rem := time.Until(deadline); rem > 0 && rem < cr.opts.Timeout {
-				cr.opts.Timeout = rem
-			}
-		}
-		// runCheck keeps stolen abstracted scenarios on the CEGAR
-		// pipeline — running the quotient straight through the portfolio
-		// would return an unrefined (possibly spurious) verdict.
-		res, err := s.runCheck(cr.sys, cr.phi, cr.opts, cr.pol, cr.abs)
-		snap, _ = buildSnapshot(res, err)
+	if cr, err := s.recompile(msg.Request); err != nil {
+		snap = storedJob{Status: StatusFailed, Error: fmt.Sprintf("stolen job does not compile: %v", err)}
+	} else {
+		// The thief counts the check it ran, as a local worker would,
+		// before the victim can publish it.
+		out := s.run(cr, deadlineIn(msg.DeadlineMS))
+		s.count(msg.ID, out)
+		snap = out.snap
 	}
 	body, err := json.Marshal(clusterReplicateMsg{ID: msg.ID, Status: snap.Status, Error: snap.Error, Result: snap.Result})
 	if err != nil {
@@ -830,7 +697,7 @@ func (s *Server) rebalanceOnce() {
 		if cs.c.State(sh.Owner) != cluster.Dead || !cs.c.OwnsLocally(id) {
 			continue
 		}
-		if s.isSettledLocally(id) {
+		if j, live := s.find(id); j != nil && !live {
 			s.removeShadow(id)
 			continue
 		}
@@ -843,7 +710,7 @@ func (s *Server) rebalanceOnce() {
 	// every verdict this node does. Idempotent on the receivers; a 409
 	// conflict is deliberately ignored here — a continuously-live node
 	// keeps the bytes its clients observed, only (re)joining nodes and
-	// pre-publication settlements defer (reconcileSettled, runJob).
+	// pre-publication settlements defer (reconcileSettled, settle).
 	repushed := 0
 	for _, id := range s.settledKeys() {
 		needed := false
@@ -868,41 +735,20 @@ func (s *Server) rebalanceOnce() {
 }
 
 // promoteShadow turns a dead peer's acceptance into a live local job
-// under its original id.
+// under its original id and its client's deadline.
 func (s *Server) promoteShadow(id string, sh shadowJob) bool {
-	var req CheckRequest
-	err := json.Unmarshal(sh.Request, &req)
-	var cr *compiled
-	if err == nil {
-		cr, err = s.compile(req)
-	}
+	cr, err := s.recompile(sh.Request)
 	if err != nil {
 		s.cfg.Log.Printf("cluster: shadowed job %s does not compile (%v); leaving it journaled", id, err)
 		return false
 	}
 	ten := s.tenants.lookup(sh.Tenant)
-	j := &job{id: id, key: cr.key, owner: s.cluster.c.Self(), tenant: ten.name, class: ten.class,
-		acceptedAt: time.Now(), sys: cr.sys, phi: cr.phi,
-		opts: cr.opts, pol: cr.pol, abs: cr.abs, reqJSON: sh.Request, status: StatusQueued, done: make(chan struct{})}
-	s.mu.Lock()
-	if _, dup := s.inflight[id]; dup {
-		s.mu.Unlock()
-		return false
+	_, created, _ := s.accept(cr, admission{from: fromShadow, id: id, req: sh.Request,
+		owner: s.ownerURL(), tenant: ten, class: ten.class, deadline: sh.Deadline})
+	if created {
+		s.removeShadow(id)
 	}
-	if s.draining {
-		s.mu.Unlock()
-		return false
-	}
-	s.inflight[id] = j
-	// Force: a promoted shadow is a promise the dead owner's client
-	// already holds — admission caps apply to new traffic only.
-	s.sched.Force(j, ten.weight)
-	s.mu.Unlock()
-	s.removeShadow(id)
-	// Re-journal under this node's ownership so a restart re-enqueues
-	// it directly instead of re-shadowing it.
-	s.persistAccepted(id, sh.Request, s.cluster.c.Self(), ten.name)
-	return true
+	return created
 }
 
 // settledKeys lists every locally pinned verdict id: the disk store

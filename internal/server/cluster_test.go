@@ -48,17 +48,26 @@ func (n *testNode) kill() {
 	n.s.cancel()
 }
 
-// lateHandler answers 404 until its real handler is installed. Peers
-// probe a node as soon as they start, so the swap must be safe against
-// requests already in flight.
-type lateHandler struct{ h atomic.Pointer[http.Handler] }
+// lateHandler holds requests until its real handler is installed.
+// Peers probe a node as soon as they start; answering those early
+// probes (with a 404, say) would mark a healthy peer Suspect or Dead
+// before the test has begun.
+type lateHandler struct {
+	h     http.Handler
+	ready chan struct{}
+}
+
+func (l *lateHandler) install(h http.Handler) {
+	l.h = h
+	close(l.ready)
+}
 
 func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h := l.h.Load(); h != nil {
-		(*h).ServeHTTP(w, r)
-		return
+	select {
+	case <-l.ready:
+		l.h.ServeHTTP(w, r)
+	case <-r.Context().Done():
 	}
-	http.NotFound(w, r)
 }
 
 // newTestCluster builds n nodes that all know each other. The
@@ -71,7 +80,7 @@ func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNo
 	late := make([]*lateHandler, n)
 	urls := make([]string, n)
 	for i := range hts {
-		late[i] = &lateHandler{}
+		late[i] = &lateHandler{ready: make(chan struct{})}
 		hts[i] = httptest.NewServer(late[i])
 		urls[i] = hts[i].URL
 	}
@@ -98,8 +107,7 @@ func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNo
 		if s.cluster == nil {
 			t.Fatal("cluster config did not produce a cluster server")
 		}
-		h := s.Handler()
-		late[i].h.Store(&h)
+		late[i].install(s.Handler())
 		node := &testNode{s: s, ht: hts[i], url: urls[i]}
 		nodes[i] = node
 		t.Cleanup(func() {
@@ -112,6 +120,17 @@ func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNo
 			node.s.Drain(ctx)
 			node.s.Close()
 		})
+	}
+	// Tests start from a converged fleet: every node sees every peer
+	// Alive.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, node := range nodes {
+		for alive := node.s.cluster.c.AlivePeers(); alive != n-1; alive = node.s.cluster.c.AlivePeers() {
+			if time.Now().After(deadline) {
+				t.Fatalf("cluster did not converge: %s sees %d of %d peers alive", node.url, alive, n-1)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 	return nodes
 }
@@ -280,67 +299,133 @@ func TestClusterVerdictSurvivesOwnerDeath(t *testing.T) {
 // TestClusterShadowPromotion: an accepted-but-unsettled job survives
 // its owner's death — the replica holding the shadowed acceptance
 // promotes it once the owner is declared dead and settles it under
-// the original id.
+// the original id. The shadow keeps the client's deadline: promoted
+// after that deadline passed, the job settles as cancelled without
+// the replica ever running the check.
 func TestClusterShadowPromotion(t *testing.T) {
-	g := newGate()
-	released := false
-	defer func() {
-		if !released {
-			close(g.release)
-		}
-	}()
-	nodes := newTestCluster(t, 3, func(i int, cfg *Config) {
-		cfg.Check = g.check
-		cfg.DataDir = t.TempDir()
-	})
-	req := CheckRequest{Model: clusterModel(3)}
-	id := idFor(t, nodes[0], req)
-	owner := ownerOf(t, nodes, id)
+	for _, tc := range []struct {
+		name     string
+		deadline string // X-Verdict-Deadline-Ms on the submission; "" for none
+	}{
+		{"owner dies mid-check", ""},
+		{"deadline expired before promotion", "200"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGate()
+			released := false
+			defer func() {
+				if !released {
+					close(g.release)
+				}
+			}()
+			check := g.check
+			if tc.deadline != "" {
+				// Only the owner's run blocks: a replica that wrongly runs
+				// the expired job returns at once, failing the assertions
+				// below instead of hanging on the gate.
+				check = func(sys *ts.System, phi *ltl.Formula, opts mc.Options, pol resilience.RetryPolicy) (*mc.Result, error) {
+					if g.calls.Load() == 0 {
+						return g.check(sys, phi, opts, pol)
+					}
+					g.calls.Add(1)
+					return &mc.Result{Status: mc.Holds, Engine: "fake", Depth: 1}, nil
+				}
+			}
+			nodes := newTestCluster(t, 3, func(i int, cfg *Config) {
+				cfg.Check = check
+				cfg.DataDir = t.TempDir()
+			})
+			req := CheckRequest{Model: clusterModel(3)}
+			id := idFor(t, nodes[0], req)
+			owner := ownerOf(t, nodes, id)
 
-	if code, _ := submit(t, owner.url, req); code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
-	}
-	<-g.started // the owner's worker is inside the check
+			hdr := map[string]string{}
+			if tc.deadline != "" {
+				hdr[HeaderDeadline] = tc.deadline
+			}
+			if resp, _, _ := submitAs(t, owner.url, "", req, hdr); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d", resp.StatusCode)
+			}
+			<-g.started // the owner's worker is inside the check
 
-	// The acceptance was replicated synchronously before the 202, so a
-	// replica must already hold the shadow.
-	shadowHolders := 0
-	for _, n := range nodes {
-		if n == owner {
-			continue
-		}
-		n.s.cluster.mu.Lock()
-		_, ok := n.s.cluster.shadows[id]
-		n.s.cluster.mu.Unlock()
-		if ok {
-			shadowHolders++
-		}
-	}
-	if shadowHolders == 0 {
-		t.Fatal("no replica holds the accepted job's shadow")
-	}
+			// The acceptance was replicated synchronously before the 202, so
+			// a replica must already hold the shadow, with the deadline.
+			shadowHolders := 0
+			for _, n := range nodes {
+				if n == owner {
+					continue
+				}
+				n.s.cluster.mu.Lock()
+				sh, ok := n.s.cluster.shadows[id]
+				n.s.cluster.mu.Unlock()
+				if ok {
+					shadowHolders++
+					if sh.Deadline.IsZero() != (tc.deadline == "") {
+						t.Errorf("shadow deadline %v, submitted with %q", sh.Deadline, tc.deadline)
+					}
+				}
+			}
+			if shadowHolders == 0 {
+				t.Fatal("no replica holds the accepted job's shadow")
+			}
 
-	owner.kill()
-	// A replica detects the death, promotes the shadow, and its worker
-	// blocks on the gate in turn.
-	select {
-	case <-g.started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no surviving node promoted the shadowed job")
-	}
-	released = true
-	close(g.release)
+			if tc.deadline != "" {
+				time.Sleep(300 * time.Millisecond) // the client's budget runs out first
+			}
+			owner.kill()
+			if tc.deadline == "" {
+				// A replica detects the death, promotes the shadow, and its
+				// worker blocks on the gate in turn.
+				select {
+				case <-g.started:
+				case <-time.After(10 * time.Second):
+					t.Fatal("no surviving node promoted the shadowed job")
+				}
+				released = true
+				close(g.release)
+			} else {
+				// Nothing runs, so wait for the promotion itself: until then
+				// no survivor knows the id.
+				waitCondition(t, 10*time.Second, "shadow promotion", func() bool {
+					for _, n := range nodes {
+						if j, _ := n.s.find(id); n != owner && j != nil {
+							return true
+						}
+					}
+					return false
+				})
+			}
 
-	var survivor *testNode
-	for _, n := range nodes {
-		if n != owner {
-			survivor = n
-			break
-		}
-	}
-	final := waitDone(t, survivor.url, id)
-	if final.Status != StatusDone {
-		t.Fatalf("promoted job settled %s (%s), want done", final.Status, final.Error)
+			var survivor *testNode
+			for _, n := range nodes {
+				if n != owner {
+					survivor = n
+					break
+				}
+			}
+			final := waitDone(t, survivor.url, id)
+			// The dead owner's own run is still in flight: release it and
+			// let its settlement finish writing before the data dirs go.
+			if !released {
+				released = true
+				close(g.release)
+			}
+			if j, live := owner.s.find(id); live {
+				<-j.done
+			}
+			if tc.deadline == "" {
+				if final.Status != StatusDone {
+					t.Fatalf("promoted job settled %s (%s), want done", final.Status, final.Error)
+				}
+				return
+			}
+			if final.Status != StatusFailed || !strings.Contains(final.Error, "deadline expired") {
+				t.Fatalf("promoted job settled %s (%s), want failed with the deadline message", final.Status, final.Error)
+			}
+			if calls := g.calls.Load(); calls != 1 {
+				t.Errorf("checks run: %d, want 1 (only the dead owner's; the replica must not run an expired job)", calls)
+			}
+		})
 	}
 }
 
@@ -553,8 +638,8 @@ func TestClusterAcceptCarriesRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqJSON, _ := json.Marshal(req)
-	j := &job{id: cr.id, key: cr.key, owner: owner.ownerURL(), sys: cr.sys, phi: cr.phi,
-		opts: cr.opts, pol: cr.pol, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
+	j := &job{id: cr.id, owner: owner.ownerURL(), check: cr, reqJSON: reqJSON,
+		status: StatusQueued, done: make(chan struct{})}
 	owner.mu.Lock()
 	owner.inflight[j.id] = j
 	owner.mu.Unlock()
@@ -653,7 +738,10 @@ func TestClusterMetricsExposed(t *testing.T) {
 		other = nodes[1]
 	}
 	submit(t, other.url, req)
-	waitDone(t, other.url, id)
+	// Wait on the owner: a read at the submitter can arrive before the
+	// settled verdict has replicated there, and is then proxied — a
+	// second, legitimate forward the count below must not see.
+	waitDone(t, owner.url, id)
 
 	resp, err := http.Get(owner.url + "/metrics")
 	if err != nil {
@@ -690,8 +778,8 @@ func TestClusterRejoinAdoptsFleetVerdict(t *testing.T) {
 	id := "cafe" + strings.Repeat("0", 28)
 	fleet := storedJob{Status: StatusFailed, Error: "fleet version"}
 	stale := storedJob{Status: StatusFailed, Error: "stale version"}
-	nodes[1].s.adoptSettled(id, fleet) // the bytes clients observed
-	nodes[0].s.adoptSettled(id, stale) // a never-published replayed copy
+	nodes[1].s.adopt(id, fleet, false) // the bytes clients observed
+	nodes[0].s.adopt(id, stale, false) // a never-published replayed copy
 
 	nodes[0].s.reconcileSettled()
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"verdict/internal/cache"
 	"verdict/internal/journal"
@@ -17,21 +16,17 @@ import (
 // This file is verdictd's crash-safety layer: the wiring between the
 // serving core and internal/journal + the disk-backed result store.
 //
-// Write path. An accepted submission is journaled (fsync'd) before
-// the 202 leaves the server; a settling job journals its outcome and
-// persists its wire snapshot to the result store before the verdict
-// becomes visible. A client that saw an id or a verdict therefore
-// sees the same id and the same bytes after a crash.
-//
-// Read path. The in-memory LRU fronts the disk store: an id that
-// misses both the in-flight table and the LRU is read from disk,
-// rehydrated, and re-inserted, so results survive both LRU eviction
-// and restarts.
+// The lifecycle (lifecycle.go) decides when these run: accept
+// journals an acceptance (fsync'd) before the 202 leaves the server,
+// settle journals an outcome and stores its wire snapshot before the
+// verdict becomes visible, and find reads an id that misses memory
+// back from the result store. A client that saw an id or a verdict
+// therefore sees the same id and the same bytes after a crash.
 //
 // Recovery. On startup the journal is replayed: settled records
 // repair the result store (healing the crash window between the
 // settled append and the store write), and accepted records without a
-// settlement are recompiled and re-enqueued under their original
+// settlement are recompiled and accepted again under their original
 // content address. The replayed journal is then compacted down to
 // just the still-live records.
 //
@@ -124,10 +119,9 @@ func (s *Server) persistAccepted(id string, reqJSON json.RawMessage, owner, tena
 	}
 }
 
-// persistSettled durably records a job's outcome — journal first,
-// then the result store — before the caller publishes it. Returns the
-// snapshot so the caller can reuse the exact bytes.
-func (s *Server) persistSettled(j *job, snap storedJob) {
+// persistSettled durably records an id's outcome — journal first,
+// then the result store — before the caller publishes it.
+func (s *Server) persistSettled(id string, snap storedJob) {
 	d := s.durable
 	if d == nil || d.failed.Load() {
 		return
@@ -138,13 +132,13 @@ func (s *Server) persistSettled(j *job, snap storedJob) {
 		return
 	}
 	d.mu.Lock()
-	err = d.j.Append(journal.Record{Type: journal.TypeSettled, ID: j.id, Status: snap.Status, Error: snap.Error, Result: snap.Result})
+	err = d.j.Append(journal.Record{Type: journal.TypeSettled, ID: id, Status: snap.Status, Error: snap.Error, Result: snap.Result})
 	d.mu.Unlock()
 	if err != nil {
 		d.fail(s.cfg.Log, "journal append", err)
 		return
 	}
-	if err := d.store.Put(j.id, raw); err != nil {
+	if err := d.store.Put(id, raw); err != nil {
 		d.fail(s.cfg.Log, "result store write", err)
 		return
 	}
@@ -184,48 +178,6 @@ func (s *Server) maybeCompact() {
 		return
 	}
 	d.bytesSinceCompact.Store(0)
-}
-
-// restoreFromStore rehydrates a settled job from its disk snapshot,
-// inserting it into the LRU. Returns nil when the id is unknown (or
-// the snapshot is unreadable — treated as a miss, never an error).
-func (s *Server) restoreFromStore(id string) *job {
-	d := s.durable
-	if d == nil {
-		return nil
-	}
-	// Memory first: only an id that misses both the in-flight table
-	// and the LRU costs a disk read.
-	s.mu.Lock()
-	if cur, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
-		return cur
-	}
-	if v, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
-		return v.(*job)
-	}
-	s.mu.Unlock()
-	raw, ok, err := d.store.Get(id)
-	if err != nil || !ok {
-		return nil
-	}
-	j, ok := decodeStored(id, raw)
-	if !ok {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Lost the race against a concurrent restore or a re-run: keep
-	// whatever is already live.
-	if cur, ok := s.inflight[id]; ok {
-		return cur
-	}
-	if v, ok := s.finished.Get(id); ok {
-		return v.(*job)
-	}
-	s.finished.Add(id, j)
-	return j
 }
 
 // decodeStored turns a disk snapshot back into a servable job.
@@ -330,17 +282,16 @@ func (s *Server) replayJournal() {
 				// A peer's promise journaled here for replication: shadow
 				// it — run it only if the owner is declared dead — rather
 				// than re-enqueueing a job the owner is probably running.
-				s.addShadow(id, e.request, e.owner, e.tenant)
-				live = append(live, journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant})
+				s.addShadow(id, shadowJob{Request: e.request, Owner: e.owner, Tenant: e.tenant})
+			} else if s.reenqueue(id, e.request, e.owner, e.tenant) {
+				d.replayed.Add(1)
+			} else {
 				continue
 			}
-			if s.reenqueue(id, e.request, e.owner, e.tenant) {
-				// Record the live entry from the replayed bytes, not the
-				// job: a worker may already be settling it (and clearing
-				// its request) the moment reenqueue returns.
-				live = append(live, journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant})
-				d.replayed.Add(1)
-			}
+			// Record the live entry from the replayed bytes, not the job:
+			// a worker may already be settling it (and clearing its
+			// request) the moment reenqueue returns.
+			live = append(live, journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant})
 		}
 	}
 	// Non-tombstoned watch snapshots stay live across the compaction;
@@ -369,25 +320,18 @@ func (s *Server) replayJournal() {
 	s.restoreWatches(openWatch)
 }
 
-// reenqueue recompiles a journaled request and admits it under its
-// original id. A request that no longer compiles (version skew,
+// reenqueue recompiles a journaled request and accepts it again under
+// its original id. A request that no longer compiles (version skew,
 // damaged payload) settles as failed so its id still answers. tenant
 // places the job back in its fair queue; records written before
 // multi-tenancy existed have none and map to the default tenant.
 func (s *Server) reenqueue(id string, reqJSON json.RawMessage, owner, tenant string) bool {
-	var req CheckRequest
-	err := json.Unmarshal(reqJSON, &req)
-	var cr *compiled
-	if err == nil {
-		cr, err = s.compile(req)
-	}
+	cr, err := s.recompile(reqJSON)
 	if err != nil {
 		s.cfg.Log.Printf("durability: journaled job %s no longer compiles (%v); settling as failed", id, err)
 		snap := storedJob{Status: StatusFailed, Error: fmt.Sprintf("replay: request no longer compiles: %v", err)}
-		if raw, merr := json.Marshal(snap); merr == nil {
-			if perr := s.durable.store.Put(id, raw); perr != nil {
-				s.durable.fail(s.cfg.Log, "result store write", perr)
-			}
+		if perr := s.durable.store.Put(id, mustMarshal(snap)); perr != nil {
+			s.durable.fail(s.cfg.Log, "result store write", perr)
 		}
 		return false
 	}
@@ -398,23 +342,9 @@ func (s *Server) reenqueue(id string, reqJSON json.RawMessage, owner, tenant str
 		s.cfg.Log.Printf("durability: journaled job %s recompiles to %s; keeping the journaled id", id, cr.id)
 	}
 	ten := s.tenants.lookup(tenant)
-	j := &job{id: id, key: cr.key, owner: owner, tenant: ten.name, class: ten.class,
-		acceptedAt: time.Now(), sys: cr.sys, phi: cr.phi, opts: cr.opts, pol: cr.pol,
-		abs: cr.abs, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
-	s.mu.Lock()
-	if _, dup := s.inflight[j.id]; dup {
-		s.mu.Unlock()
-		return false
-	}
-	s.inflight[j.id] = j
-	s.mu.Unlock()
-	// Force, not Push: replay may enqueue more than QueueDepth jobs.
-	// Admission control applies to new traffic, not to work the daemon
-	// already promised — but the job still lands in its tenant's fair
-	// queue, so a restart does not let one tenant's backlog jump ahead
-	// of everyone else's.
-	s.sched.Force(j, ten.weight)
-	return true
+	_, created, _ := s.accept(cr, admission{from: fromJournal, id: id, req: reqJSON,
+		owner: owner, tenant: ten, class: ten.class})
+	return created
 }
 
 // closeDurable shuts the journal file; called from Server.Close.

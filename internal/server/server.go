@@ -20,6 +20,10 @@
 //     for requests, cache traffic, queue depth, in-flight checks,
 //     per-engine wins, check latency, and budget exhaustions.
 //
+// Every job — submitted, replayed, promoted, stolen, or run by a watch
+// session — moves through the four transitions in lifecycle.go:
+// accept, run, settle, find.
+//
 // Endpoints:
 //
 //	POST /v1/checks            submit {model, property?, spec?, options?} → {id, status, cached}
@@ -39,20 +43,18 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"verdict/internal/abstract"
 	"verdict/internal/cache"
 	"verdict/internal/ltl"
 	"verdict/internal/mc"
 	"verdict/internal/metrics"
-	"verdict/internal/models/rollout"
 	"verdict/internal/resilience"
 	"verdict/internal/ts"
 	"verdict/internal/watch"
@@ -183,12 +185,11 @@ const (
 	StatusFailed  = "failed"
 )
 
-// job is one admitted check. Status transitions (queued → running →
-// done|failed) are guarded by Server.mu; done is closed exactly once
-// when the job leaves the running state.
+// job is one admitted check. Its transitions (accepted → queued →
+// running → settled) all live in lifecycle.go and are guarded by
+// Server.mu; done is closed exactly once, when the job settles.
 type job struct {
-	id  string
-	key string
+	id string
 	// owner is the advertised URL of the cluster node that promised
 	// this job to a client; empty in single-node mode.
 	owner string
@@ -205,24 +206,18 @@ type job struct {
 	// job's check timeout is clamped to the remaining budget.
 	deadline time.Time
 
-	sys  *ts.System
-	phi  *ltl.Formula
-	opts mc.Options
-	pol  resilience.RetryPolicy
-	// abs, when non-nil, runs this job through the symmetry-quotient
-	// CEGAR pipeline on this rollout instance instead of cfg.Check.
-	abs *rollout.Config
-	// reqJSON is the original submission body, kept while the job is
-	// unsettled so the journal can re-accept it after a crash and the
-	// compactor can rewrite it; dropped at settlement.
+	// check is the compiled work; reqJSON is the original submission
+	// body, kept so the compactor can rewrite the acceptance and a
+	// thief can recompile it. Both are dropped at settlement.
+	check   *compiled
 	reqJSON json.RawMessage
 
 	status string
 	result *mc.Result
 	errMsg string
-	// sealed is claimed (under Server.mu) by whichever settles the job
-	// first — the local worker or a replicated snapshot from a peer —
-	// so exactly one outcome is persisted and published.
+	// sealed is claimed by settle, under Server.mu, for whichever
+	// settlement comes first — the local run or a peer's snapshot — so
+	// exactly one outcome is persisted and published.
 	sealed bool
 	done   chan struct{}
 }
@@ -476,225 +471,6 @@ func (s *Server) Close() {
 	s.closeDurable()
 }
 
-// --- worker pool ---
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j, ok := s.sched.Pop()
-		if !ok {
-			return
-		}
-		s.runJob(j)
-	}
-}
-
-// cancelExpired settles a job whose propagated deadline passed while
-// it sat in the queue: running it now would burn a worker on an
-// answer nobody is waiting for. The cancellation is a real settlement
-// — replicated, journaled, published — so the 202 the client holds
-// still resolves (to a failure naming the deadline), and a restart
-// does not resurrect the job.
-func (s *Server) cancelExpired(j *job) {
-	s.mu.Lock()
-	if j.sealed {
-		s.mu.Unlock()
-		return
-	}
-	j.sealed = true
-	s.mu.Unlock()
-	snap := storedJob{Status: StatusFailed, Error: "deadline expired before the check started; cancelled at worker pickup"}
-	if remote, conflict := s.replicateSettled(j.id, snap); conflict {
-		if _, ok := decodeStored(j.id, mustMarshal(remote)); ok {
-			snap = remote
-		}
-	}
-	s.persistSettled(j, snap)
-	var res *mc.Result
-	if snap.Status == StatusDone {
-		if dec, ok := decodeStored(j.id, mustMarshal(snap)); ok {
-			res = dec.result
-		}
-	}
-	s.publish(j, snap, res)
-	s.mExpired.Inc()
-	s.mChecks.Inc("expired")
-}
-
-func (s *Server) runJob(j *job) {
-	// Queue wait (acceptance → pickup) is the overload signal: it feeds
-	// the histogram and the brownout ladder before the job runs. Watch
-	// verify passes call runJob directly with a zero acceptedAt.
-	if !j.acceptedAt.IsZero() {
-		wait := time.Since(j.acceptedAt)
-		s.hQueueWait.Observe(wait.Seconds(), classLabel(j.class))
-		s.brown.Observe(wait)
-	}
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		s.cancelExpired(j)
-		return
-	}
-	s.mu.Lock()
-	if j.sealed {
-		// A peer settled this job while it sat in the queue (a stolen
-		// job coming home, or a replicated verdict): nothing to run.
-		s.mu.Unlock()
-		return
-	}
-	j.status = StatusRunning
-	// Clamp the check's wall clock to the remaining budget: a job
-	// cannot outlive the deadline its client stopped waiting at.
-	if !j.deadline.IsZero() {
-		if rem := time.Until(j.deadline); rem > 0 && rem < j.opts.Timeout {
-			j.opts.Timeout = rem
-		}
-	}
-	s.mu.Unlock()
-	s.gInflight.Add(1)
-	start := time.Now()
-	res, err := s.runCheck(j.sys, j.phi, j.opts, j.pol, j.abs)
-	elapsed := time.Since(start)
-	s.gInflight.Add(-1)
-
-	snap, res := buildSnapshot(res, err)
-	verdict, engine := "error", "error"
-	if snap.Status == StatusDone {
-		verdict = res.Status.String()
-		engine = engineLabel(res.Engine)
-	}
-
-	s.mu.Lock()
-	if j.sealed {
-		// Lost the settlement race to a replicated snapshot; its bytes
-		// are already pinned — discard this run's.
-		s.mu.Unlock()
-		return
-	}
-	j.sealed = true
-	s.mu.Unlock()
-	// Durability before visibility: the outcome is pushed to the
-	// replica set, journaled, and in the result store before any
-	// client can observe it, so a settled verdict survives both a
-	// crash and the death of this node byte-identically. Replication
-	// runs first because it doubles as conflict detection: if a
-	// replica already pinned different bytes for this id (the fleet
-	// settled it while this node was partitioned or restarting), those
-	// bytes were published and ours were not — adopt theirs.
-	if remote, conflict := s.replicateSettled(j.id, snap); conflict {
-		if dec, ok := decodeStored(j.id, mustMarshal(remote)); ok {
-			snap, res = remote, dec.result
-			verdict, engine = "error", "error"
-			if snap.Status == StatusDone {
-				verdict = res.Status.String()
-				engine = engineLabel(res.Engine)
-			}
-		}
-	}
-	s.persistSettled(j, snap)
-	s.publish(j, snap, res)
-
-	s.mChecks.Inc(verdict)
-	s.hLatency.Observe(elapsed.Seconds(), engine)
-	if j.result != nil && j.result.Status != mc.Unknown {
-		s.mWins.Inc(engine)
-	}
-	if j.result != nil && j.result.Status == mc.Unknown && strings.Contains(j.result.Note, "budget exhausted") {
-		s.mBudgetExh.Inc()
-	}
-	if j.result != nil && j.result.Stats != nil && j.result.Stats.WitnessFailures > 0 {
-		s.mWitnessBad.Add(float64(j.result.Stats.WitnessFailures))
-	}
-	if j.errMsg != "" {
-		s.cfg.Log.Printf("check %s failed: %s", j.id, j.errMsg)
-	}
-}
-
-// checkAbstract runs the symmetry-quotient CEGAR pipeline behind the
-// same panic guard as the portfolio path.
-func (s *Server) checkAbstract(cfg rollout.Config, opts mc.Options) (res *abstract.Result, err error) {
-	defer resilience.RecoverTo("verdictd-abstract", &err)
-	return abstract.Check(cfg, abstract.Options{MC: opts})
-}
-
-// runCheck dispatches a compiled check: the portfolio for concrete
-// jobs, the quotient + CEGAR pipeline for abstracted scenarios. It is
-// the single execution point for local runs, replayed journal jobs,
-// and stolen cluster jobs, so the verdict_abstract_* metrics count
-// refinement work wherever it happens — including runs whose
-// refinement budget errors out partway (the partial trajectory is
-// real work).
-func (s *Server) runCheck(sys *ts.System, phi *ltl.Formula, opts mc.Options, pol resilience.RetryPolicy, abs *rollout.Config) (*mc.Result, error) {
-	if abs == nil {
-		return s.cfg.Check(sys, phi, opts, pol)
-	}
-	ares, err := s.checkAbstract(*abs, opts)
-	if ares != nil {
-		s.mAbsRefines.Add(float64(ares.Refinements))
-		s.mAbsSpurious.Add(float64(ares.Spurious))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ares == nil {
-		return nil, nil
-	}
-	return ares.Result, nil
-}
-
-// buildSnapshot turns a check outcome into the durable wire snapshot.
-// The returned result is non-nil only for a done snapshot, and is
-// exactly what the snapshot's Result bytes decode to.
-func buildSnapshot(res *mc.Result, err error) (storedJob, *mc.Result) {
-	snap := storedJob{Status: StatusFailed}
-	switch {
-	case err != nil:
-		snap.Error = err.Error()
-	case res == nil:
-		snap.Error = "check returned no result"
-	default:
-		raw, merr := json.Marshal(res)
-		if merr != nil {
-			snap.Error = "result does not serialize: " + merr.Error()
-			return snap, nil
-		}
-		snap.Status = StatusDone
-		snap.Result = raw
-		return snap, res
-	}
-	return snap, nil
-}
-
-// publish makes a sealed, persisted settlement visible: the job moves
-// from the in-flight table to the finished cache and its done channel
-// closes. Callers must have claimed j.sealed first.
-func (s *Server) publish(j *job, snap storedJob, res *mc.Result) {
-	s.mu.Lock()
-	j.status = snap.Status
-	j.errMsg = snap.Error
-	if snap.Status == StatusDone {
-		j.result = res
-	}
-	delete(s.inflight, j.id)
-	// Settled jobs only serve status/error/result, so drop the parsed
-	// system, formula, and request before caching — CacheSize entries
-	// of large models would otherwise stay pinned in memory.
-	j.sys, j.phi, j.reqJSON, j.abs = nil, nil, nil, nil
-	j.opts, j.pol = mc.Options{}, resilience.RetryPolicy{}
-	s.finished.Add(j.id, j)
-	s.mu.Unlock()
-	close(j.done)
-	s.removeShadow(j.id)
-}
-
-// engineLabel collapses "portfolio/bmc" to "bmc" so the win counters
-// name the engine that actually decided.
-func engineLabel(engine string) string {
-	if engine == "" {
-		return "none"
-	}
-	return strings.TrimPrefix(engine, "portfolio/")
-}
-
 // --- HTTP handlers ---
 
 // instrument wraps a handler with the request counter, labeling by
@@ -737,10 +513,16 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request) (*tenantState
 func parseDeadline(r *http.Request) time.Time {
 	raw := r.Header.Get(HeaderDeadline)
 	if raw == "" {
-		return time.Time{}
+		return time.Time{} // the common case: skip ParseInt's error allocation
 	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
+	ms, _ := strconv.ParseInt(raw, 10, 64)
+	return deadlineIn(ms)
+}
+
+// deadlineIn turns a remaining budget in milliseconds (header or
+// cluster wire message) into an absolute deadline; ms <= 0 is none.
+func deadlineIn(ms int64) time.Time {
+	if ms <= 0 {
 		return time.Time{}
 	}
 	return time.Now().Add(time.Duration(ms) * time.Millisecond)
@@ -779,10 +561,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, st, class, level, "shedding all submissions")
 		return
 	}
-	// Warm the LRU from the disk-backed store first, so results that
-	// outlived the LRU (or a restart) are cache hits, not re-runs.
-	s.restoreFromStore(cr.id)
-	if s.answerFromCache(w, cr.id) {
+	// In flight or settled with a reusable verdict: answer without a
+	// check (singleflight by content address). find warms the LRU from
+	// the disk-backed store, so results that outlived the LRU (or a
+	// restart) are cache hits, not re-runs. A cached failure (caught
+	// panic, transient engine error) is not a reusable verdict — fall
+	// through and re-run; the fresh job replaces it when it settles.
+	if j, live := s.find(cr.id); j != nil && (live || j.status != StatusFailed) {
+		s.mCacheHits.Inc()
+		s.writeJob(w, http.StatusOK, j, true)
 		return
 	}
 	// Route the job to its ring owner, so identical submissions landing
@@ -816,57 +603,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %q rate limit exceeded", st.name))
 		return
 	}
-	var owner string
-	if s.cluster != nil {
-		owner = s.cluster.c.Self()
-	}
-
-	s.mu.Lock()
-	// Singleflight re-check: an identical submission may have admitted
-	// while this one was routing.
-	if j, ok := s.inflight[cr.id]; ok {
-		s.mu.Unlock()
-		s.mCacheHits.Inc()
-		s.writeJob(w, http.StatusOK, j, true)
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
+	// Singleflight again inside accept: an identical submission may
+	// have been admitted while this one was routing.
+	j, created, err := s.accept(cr, admission{from: fromClient, id: cr.id, req: reqJSON,
+		owner: s.ownerURL(), tenant: st, class: class, deadline: deadline})
+	switch {
+	case errors.Is(err, errDraining):
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new checks")
-		return
-	}
-	j := &job{id: cr.id, key: cr.key, owner: owner, tenant: st.name, class: class,
-		acceptedAt: time.Now(), deadline: deadline, sys: cr.sys, phi: cr.phi,
-		opts: cr.opts, pol: cr.pol, abs: cr.abs, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
-	switch err := s.sched.Push(j, st.weight, st.maxQueued); err {
-	case nil:
-	case errTenantQuota:
-		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, errTenantQuota):
 		s.mTenantRej.Inc(st.name, "quota")
 		w.Header().Set(HeaderQuotaReason, "queued")
 		w.Header().Set(HeaderQuotaTenant, st.name)
 		w.Header().Set(HeaderQuotaLimit, fmt.Sprintf("%d", st.maxQueued))
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %q queued-job quota (%d) exhausted", st.name, st.maxQueued))
-		return
-	default: // errQueueFull — the historical shape, no quota headers
-		s.mu.Unlock()
+	case err != nil: // errQueueFull — the historical shape, no quota headers
 		s.mRejections.Inc()
 		s.mTenantRej.Inc(st.name, "queue_full")
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "job queue full")
-		return
+	case !created:
+		s.mCacheHits.Inc()
+		s.writeJob(w, http.StatusOK, j, true)
+	default:
+		s.mCacheMiss.Inc()
+		s.writeJob(w, http.StatusAccepted, j, false)
 	}
-	s.inflight[j.id] = j
-	s.mu.Unlock()
-	// Journal the acceptance (fsync'd) and push it to the replica set
-	// before acknowledging: once the client holds this id, neither a
-	// crash nor the death of this node can lose the job.
-	s.persistAccepted(j.id, reqJSON, owner, j.tenant)
-	s.replicateAccept(j, reqJSON)
-	s.mCacheMiss.Inc()
-	s.writeJob(w, http.StatusAccepted, j, false)
 }
 
 // shed rejects a submission under the brownout ladder: a 429 carrying
@@ -880,54 +643,9 @@ func (s *Server) shed(w http.ResponseWriter, st *tenantState, class, level int, 
 	writeError(w, http.StatusTooManyRequests, fmt.Sprintf("brownout level %d: %s", level, why))
 }
 
-// answerFromCache serves a submission from the in-flight table (the
-// singleflight path: an identical request is the same content
-// address) or the finished cache; reports whether it answered.
-func (s *Server) answerFromCache(w http.ResponseWriter, id string) bool {
-	s.mu.Lock()
-	if j, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
-		s.mCacheHits.Inc()
-		s.writeJob(w, http.StatusOK, j, true)
-		return true
-	}
-	if v, ok := s.finished.Get(id); ok {
-		// A cached failure (caught panic, transient engine error) is
-		// not a reusable verdict — fall through and re-run the check;
-		// the fresh job replaces the stale entry when it settles.
-		if fj := v.(*job); fj.status != StatusFailed {
-			s.mu.Unlock()
-			s.mCacheHits.Inc()
-			s.writeJob(w, http.StatusOK, fj, true)
-			return true
-		}
-	}
-	s.mu.Unlock()
-	return false
-}
-
-func (s *Server) lookup(id string) (*job, bool) {
-	s.mu.Lock()
-	if j, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
-		return j, true
-	}
-	if v, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
-		return v.(*job), true
-	}
-	s.mu.Unlock()
-	// The disk store outlives both the LRU and the process: an id
-	// evicted from memory (or served before a restart) still answers.
-	if j := s.restoreFromStore(id); j != nil {
-		return j, true
-	}
-	return nil, false
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
+	j, _ := s.find(r.PathValue("id"))
+	if j == nil {
 		// In cluster mode the id may live elsewhere: ask its replica
 		// set (owner first) before declaring it unknown.
 		if s.proxyRead(w, r, r.PathValue("id")) {
@@ -948,8 +666,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
+	j, _ := s.find(r.PathValue("id"))
+	if j == nil {
 		if s.proxyRead(w, r, r.PathValue("id")) {
 			return
 		}

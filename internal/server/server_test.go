@@ -364,6 +364,50 @@ func TestExplicitProperty(t *testing.T) {
 	}
 }
 
+// TestSettlementCountedBeforeWake (white box): a waiter released by a
+// job's settlement must already see that settlement in the counters,
+// whether the job ran or was cancelled at pickup for an expired
+// deadline. Waking first and counting after made every "settle, then
+// scrape /metrics" assertion a race.
+func TestSettlementCountedBeforeWake(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Time
+		counted  func(*Server) float64
+	}{
+		{"run", time.Time{}, func(s *Server) float64 {
+			return min(s.mChecks.Value("holds"), s.mWins.Value("fake"))
+		}},
+		{"expired", time.Now().Add(-time.Second), func(s *Server) float64 {
+			return min(s.mChecks.Value("expired"), s.mExpired.Value())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, Check: newInstantOK()})
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				s.Drain(ctx)
+				s.Close()
+			}()
+			cr, err := s.compile(CheckRequest{Model: counterModel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ten := s.tenants.lookup("")
+			j, _, err := s.accept(cr, admission{from: fromClient, id: cr.id, tenant: ten,
+				class: ten.class, deadline: tc.deadline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.done
+			if got := tc.counted(s); got != 1 {
+				t.Fatalf("settlement counters read %v right after the wake, want 1", got)
+			}
+		})
+	}
+}
+
 // TestMetricsEndpoint scrapes /metrics after traffic and checks the
 // exposition contains the families the ISSUE names.
 func TestMetricsEndpoint(t *testing.T) {
@@ -422,21 +466,21 @@ func TestCompileNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ca.key != cb.key {
+	if ca.id != cb.id {
 		t.Error("declaration order fragmented the cache key")
 	}
 	cd, err := s.compile(CheckRequest{Model: a, Options: OptionsRequest{MaxDepth: 25, TimeoutMS: 30_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd.key != ca.key {
+	if cd.id != ca.id {
 		t.Error("explicitly-spelled default options fragmented the cache key")
 	}
 	ce, err := s.compile(CheckRequest{Model: a, Options: OptionsRequest{MaxDepth: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce.key == ca.key {
+	if ce.id == ca.id {
 		t.Error("different depth must be a different cache key")
 	}
 }
@@ -475,7 +519,7 @@ func TestRetryCeilingClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.key != clamped.key {
+	if over.id != clamped.id {
 		t.Error("clamped retry counts fragmented the cache key")
 	}
 }
@@ -548,7 +592,7 @@ func TestSettledJobsDropModel(t *testing.T) {
 	j := v.(*job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.sys != nil || j.phi != nil {
+	if j.check != nil {
 		t.Error("cached job still pins the parsed system/formula")
 	}
 	if j.result == nil {

@@ -30,11 +30,11 @@ import (
 //
 // Re-checks do not go through the job queue: a watch session's verify
 // pass runs synchronously in the session's own goroutine, but through
-// the same compile → content-address → cache/singleflight → runJob
-// machinery as a POST /v1/checks submission. A dirty re-check whose
-// model was ever verified before (by anyone — the source is the cache
-// key) is answered from the result cache; a genuinely new model is
-// checked, witness-validated, journaled, and replicated exactly like
+// the same compile → find → accept → run → settle lifecycle as a
+// POST /v1/checks submission. A dirty re-check whose model was ever
+// verified before (by anyone — the source is the cache key) is
+// answered from the result cache; a genuinely new model is checked,
+// witness-validated, journaled, and replicated exactly like
 // a client submission.
 //
 // Sessions are node-local (not replicated across the cluster), but
@@ -167,30 +167,20 @@ func (s *Server) watchVerify(ctx context.Context, p extract.Property) watch.Outc
 		return watch.Outcome{Verdict: watch.VerdictFailed, Err: err.Error()}
 	}
 
-	cached := true
-	s.restoreFromStore(cr.id)
-	s.mu.Lock()
-	j, live := s.inflight[cr.id]
-	if !live {
-		if v, ok := s.finished.Get(cr.id); ok && v.(*job).status != StatusFailed {
-			j = v.(*job)
-		} else {
-			// New work: register the job in the in-flight table so
-			// concurrent identical submissions (client or watch) collapse
-			// onto this run, then execute it on this goroutine — watch
-			// re-checks must not compete with clients for queue slots.
-			cached = false
-			j = &job{id: cr.id, key: cr.key, owner: s.ownerURL(), sys: cr.sys, phi: cr.phi,
-				opts: cr.opts, pol: cr.pol, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
-			s.inflight[j.id] = j
-		}
-	}
-	s.mu.Unlock()
-
+	// Answered by an identical in-flight job or a reusable cached
+	// verdict; otherwise accepted without a queue slot — watch re-checks
+	// must not compete with clients for those — and run on this
+	// goroutine. accept's own singleflight catches an identical job
+	// admitted in between.
+	j, live := s.find(cr.id)
+	cached := j != nil && (live || j.status != StatusFailed)
 	if !cached {
-		s.persistAccepted(j.id, reqJSON, j.owner, j.tenant)
-		s.replicateAccept(j, reqJSON)
-		s.runJob(j)
+		var created bool
+		j, created, _ = s.accept(cr, admission{from: fromWatch, id: cr.id, req: reqJSON, owner: s.ownerURL()})
+		cached = !created
+		if created {
+			s.runJob(j)
+		}
 	}
 	select {
 	case <-j.done:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -96,11 +97,13 @@ type CheckResponse struct {
 // compiled is a request after parsing, option normalization, and
 // content addressing.
 type compiled struct {
-	id, key string
-	sys     *ts.System
-	phi     *ltl.Formula
-	opts    mc.Options
-	pol     resilience.RetryPolicy
+	// id is the content address: a prefix of cache.Key over exactly
+	// the inputs that determine the verdict.
+	id   string
+	sys  *ts.System
+	phi  *ltl.Formula
+	opts mc.Options
+	pol  resilience.RetryPolicy
 	// abs, when non-nil, switches the job to the symmetry-quotient
 	// CEGAR pipeline over this rollout instance; sys/phi then hold the
 	// initial quotient (the content address), not the checked system.
@@ -162,14 +165,17 @@ func (s *Server) compile(req CheckRequest) (*compiled, error) {
 
 	opts, pol, normalized := s.normalizeOptions(req.Options)
 	key := cache.Key(canonical, phi.String(), normalized)
-	return &compiled{
-		id:   key[:32],
-		key:  key,
-		sys:  sys,
-		phi:  phi,
-		opts: opts,
-		pol:  pol,
-	}, nil
+	return &compiled{id: key[:32], sys: sys, phi: phi, opts: opts, pol: pol}, nil
+}
+
+// recompile rebuilds the compiled check of a journaled, shadowed, or
+// stolen request from its JSON bytes.
+func (s *Server) recompile(reqJSON json.RawMessage) (*compiled, error) {
+	var req CheckRequest
+	if err := json.Unmarshal(reqJSON, &req); err != nil {
+		return nil, err
+	}
+	return s.compile(req)
 }
 
 // compileScenario builds a scenario submission: the rollout model is
@@ -208,7 +214,7 @@ func (s *Server) compileScenario(req CheckRequest) (*compiled, error) {
 		// colliding with a concrete model a client might render to the
 		// same text.
 		key := cache.Key(q.Canonical(), q.Property.String(), normalized+" abstract=1")
-		return &compiled{id: key[:32], key: key, sys: q.Sys, phi: q.Property,
+		return &compiled{id: key[:32], sys: q.Sys, phi: q.Property,
 			opts: opts, pol: pol, abs: &cfg}, nil
 	}
 	cm, err := rollout.Build(cfg)
@@ -217,7 +223,7 @@ func (s *Server) compileScenario(req CheckRequest) (*compiled, error) {
 	}
 	canonical := smvlang.Render(&smvlang.Program{Sys: cm.Sys})
 	key := cache.Key(canonical, cm.Property.String(), normalized)
-	return &compiled{id: key[:32], key: key, sys: cm.Sys, phi: cm.Property,
+	return &compiled{id: key[:32], sys: cm.Sys, phi: cm.Property,
 		opts: opts, pol: pol}, nil
 }
 
